@@ -12,10 +12,8 @@ from .dense import (
     DenseBatch,
     DenseRuntime,
     DenseTAG,
-    batch_active,
     compile_dense,
     compile_dense_batch,
-    resolve_batch,
 )
 from .clocks import (
     And,
@@ -56,8 +54,6 @@ __all__ = [
     "DenseBatch",
     "DenseRuntime",
     "BatchRuntime",
-    "batch_active",
-    "resolve_batch",
     "batch_matching_roots",
     "TagMatcher",
     "MatchResult",

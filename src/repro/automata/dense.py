@@ -8,7 +8,7 @@ guards lowered to threshold programs over clock indexes - and then runs
 that table over the int64 columns of a
 :class:`~repro.store.columnar.ColumnarEventStore`.
 
-Three layers:
+Four layers:
 
 ``compile_dense(tag)``
     the pure compilation step.  :meth:`DenseTAG.step` mirrors
@@ -27,13 +27,17 @@ Three layers:
     whole anchor column, then a dense NFA sweep per surviving anchor
     over only the plan's events.  Its match decisions and bindings are
     bit-identical to :class:`~repro.automata.matching.TagMatcher`'s
-    object path, which stays the differential reference and the
-    ``REPRO_COLUMNAR=off`` kill switch.
+    object path, which stays the differential reference and the route
+    for sequences without a columnar view.
+
+``BatchRuntime``
+    a whole candidate frontier - matchers sharing a root, run
+    semantics and clock space, banked into one :class:`DenseBatch` -
+    advanced in a single traversal per root.
 """
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -70,40 +74,8 @@ _BATCH_CANDIDATES = counter(
     "Candidates evaluated through batched frontier scans",
 )
 
-#: Recognised values of ``REPRO_BATCH``.
-BATCH_MODES = ("auto", "on", "off")
-
 #: Shared miss entry for :meth:`BatchRuntime.match_many` results.
 _NO_MATCH: Tuple[bool, None] = (False, None)
-
-
-def resolve_batch(mode: Optional[str] = None) -> str:
-    """Effective multi-candidate batching mode: ``on`` or ``off``.
-
-    ``REPRO_BATCH`` follows the same taxonomy as ``REPRO_COLUMNAR``:
-    ``auto`` (the default) resolves to ``on``; ``off`` is the kill
-    switch and the differential reference the batch-vs-single suite
-    holds the banked scan against.
-    """
-    value = mode if mode is not None else os.environ.get(
-        "REPRO_BATCH", "auto"
-    )
-    value = value.strip().lower() or "auto"
-    if value not in BATCH_MODES:
-        raise ValueError(
-            "REPRO_BATCH must be one of %s, got %r"
-            % ("|".join(BATCH_MODES), value)
-        )
-    return "off" if value == "off" else "on"
-
-
-def batch_active() -> bool:
-    """True when candidate frontiers should scan through one
-    :class:`BatchRuntime` traversal.  Batching rides on the columnar
-    plan, so it is only effective when the columnar backend is too."""
-    from ..store.columnar import columnar_active
-
-    return resolve_batch() == "on" and columnar_active()
 
 
 class DenseGuard:

@@ -305,23 +305,18 @@ class TagMatcher:
         return None
 
     # ------------------------------------------------------------------
-    # Columnar batch routing (REPRO_COLUMNAR backend taxonomy)
+    # Columnar batch routing
     # ------------------------------------------------------------------
     def _columnar_runtime(
         self, sequence: "EventSequence"
     ) -> Optional[DenseRuntime]:
         """The dense batch runtime for a sequence, or None.
 
-        None routes the caller to the object path - the kill switch
-        (``REPRO_COLUMNAR=off``) and the fallback for inputs without a
-        columnar view.  Runtimes are memoised per view (weakly, so a
-        matcher outliving its sequences leaks nothing); the dense
-        transition tables compile once per matcher.
+        None routes the caller to the object path, the route for inputs
+        without a columnar view.  Runtimes are memoised per view
+        (weakly, so a matcher outliving its sequences leaks nothing);
+        the dense transition tables compile once per matcher.
         """
-        from ..store.columnar import columnar_active
-
-        if not columnar_active():
-            return None
         view_of = getattr(sequence, "columnar", None)
         if view_of is None:
             return None
@@ -414,24 +409,24 @@ class TagMatcher:
 
 
 # ----------------------------------------------------------------------
-# Frontier-level routing (REPRO_BATCH taxonomy)
+# Frontier-level routing
 # ----------------------------------------------------------------------
 def batch_matching_roots(
     matchers: Sequence[TagMatcher], sequence: "EventSequence"
 ) -> List[List[int]]:
     """Per-matcher matching-root lists for a whole candidate frontier.
 
-    When ``REPRO_BATCH`` and the columnar backend are active, matchers
-    that share root symbol/variable, semantics (strict, horizon,
-    configuration cap) and clock space are merged into one
+    On a sequence with a columnar view, matchers that share root
+    symbol/variable, semantics (strict, horizon, configuration cap) and
+    clock space are merged into one
     :class:`~repro.automata.dense.DenseBatch` and scanned in a single
     :class:`~repro.automata.dense.BatchRuntime` traversal per root;
-    everything else falls back to the per-matcher path.  Either way the
+    everything else goes through the per-matcher path.  Either way the
     result is bit-identical to ``[list(m.matching_roots(sequence)) for
-    m in matchers]`` - ``REPRO_BATCH=off`` is the differential
-    reference the batch-vs-single suite replays.
+    m in matchers]`` - the differential reference the batch-vs-single
+    suite replays.
     """
-    from .dense import BatchRuntime, batch_active, compile_dense_batch
+    from .dense import BatchRuntime, compile_dense_batch
 
     results: List[Optional[List[int]]] = [None] * len(matchers)
 
@@ -439,11 +434,7 @@ def batch_matching_roots(
         for i in indexes:
             results[i] = list(matchers[i].matching_roots(sequence))
 
-    if (
-        len(matchers) < 2
-        or not batch_active()
-        or getattr(sequence, "columnar", None) is None
-    ):
+    if len(matchers) < 2 or getattr(sequence, "columnar", None) is None:
         _fallback(range(len(matchers)))
         return [r for r in results]
     store = sequence.columnar()

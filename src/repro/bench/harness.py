@@ -33,6 +33,9 @@ from ..constraints import (
 )
 from ..constraints.propagation import resolve_engine
 from ..granularity import GranularitySystem, standard_system
+from ..granularity.convcache import ConversionCache
+from ..granularity.normalform import _FORM_CACHE_ATTR
+from ..mining.events import EventSequence
 from ..obs import (
     Tracer,
     activate_tracer,
@@ -475,8 +478,6 @@ def _x11(system, engine, scale) -> _Workload:
 
 def _x12(system, engine, scale) -> _Workload:
     """Ablation: propagation with a cold vs the warm conversion cache."""
-    from ..granularity.convcache import ConversionCache
-
     structure = _consistent_random_dag(24 * scale, system, random.Random(10))
 
     def run():
@@ -557,31 +558,55 @@ def _x13(system, engine, scale) -> _Workload:
     return _Workload(run)
 
 
+class _ObjectSequence(EventSequence):
+    """An event sequence offering no columnar view: matchers over it
+    take the per-event object path, the differential reference."""
+
+    columnar = None
+
+
+def _sweep_route(ttype) -> None:
+    """Pin a type to the sweep route, the differential reference.
+
+    The instance's normal-form cache records "does not lower" - the
+    state of a type that fails to compile - so its size tables sweep,
+    its clocks call its own ``tick_of``, and composites over it refuse
+    to lower too.
+    """
+    setattr(ttype, _FORM_CACHE_ATTR, None)
+
+
+def _sweep_system() -> GranularitySystem:
+    """A fresh standard system with every type on the sweep route."""
+    bench_system = standard_system(cache=ConversionCache())
+    for label in bench_system.labels():
+        _sweep_route(bench_system.get(label))
+    return bench_system
+
+
 def _x14(system, engine, scale) -> _Workload:
     """Strict TAG matching with second-granularity clocks.
 
     Every event of a strict-mode run pays one coverage check and one
     distance per clock; with a second-resolution periodic clock the
-    sweep backend routes those through the type's own ``tick_of``
-    while the compiled backend answers by bisection over one period
-    of boundary offsets.  Both passes must agree on every match.
+    sweep route answers those through the type's own ``tick_of``
+    while the compiled route answers by bisection over one period of
+    boundary offsets.  Both passes must agree on every match.
     """
-    import os
-
     from ..automata.builder import build_tag
     from ..automata.matching import TagMatcher
-    from ..granularity.convcache import ConversionCache
     from ..granularity.periodic import PeriodicPatternType
-    from ..mining.events import EventSequence
 
-    window = PeriodicPatternType(
-        "obs-window", 3600, [(i * 90, 40) for i in range(40)]
-    )
-
-    def build(backend):
-        bench_system = standard_system(
-            cache=ConversionCache(), sizetable_backend=backend
+    def make_window():
+        return PeriodicPatternType(
+            "obs-window", 3600, [(i * 90, 40) for i in range(40)]
         )
+
+    window = make_window()
+    sweep_window = make_window()
+    _sweep_route(sweep_window)
+
+    def build(bench_system, window):
         bench_system.register(window)
         structure = EventStructure(
             ["X0", "X1", "X2"],
@@ -606,23 +631,19 @@ def _x14(system, engine, scale) -> _Workload:
         events.append(("ack", t + 270 + rng.randrange(0, 120)))
     sequence = EventSequence(sorted(events, key=lambda event: event[1]))
 
-    def timed_pass(backend):
-        previous = os.environ.get("REPRO_SIZETABLE")
-        os.environ["REPRO_SIZETABLE"] = backend
-        try:
-            matcher = build(backend)
-            start = time.perf_counter()
-            matches = matcher.count_occurrences(sequence)
-            return matches, time.perf_counter() - start
-        finally:
-            if previous is None:
-                os.environ.pop("REPRO_SIZETABLE", None)
-            else:
-                os.environ["REPRO_SIZETABLE"] = previous
+    def timed_pass(bench_system, window):
+        matcher = build(bench_system, window)
+        start = time.perf_counter()
+        matches = matcher.count_occurrences(sequence)
+        return matches, time.perf_counter() - start
 
     def run():
-        sweep_matches, sweep_seconds = timed_pass("sweep")
-        compiled_matches, compiled_seconds = timed_pass("compiled")
+        sweep_matches, sweep_seconds = timed_pass(
+            _sweep_system(), sweep_window
+        )
+        compiled_matches, compiled_seconds = timed_pass(
+            standard_system(cache=ConversionCache()), window
+        )
         return {
             "events": len(sequence),
             "matches": compiled_matches,
@@ -705,19 +726,16 @@ def _x16(system, engine, scale) -> _Workload:
 
     One million (x scale) events - a planted hour-granularity chain
     drowned in background noise - matched twice through the *same*
-    :class:`~repro.automata.matching.TagMatcher`: once with
-    ``REPRO_COLUMNAR=off`` (the per-event object loop, the reference)
-    and once with ``REPRO_COLUMNAR=on`` (the dense transition table
-    advancing over the store's typed columns, which never touches a
-    noise event).  Both index structures are prebuilt so the passes
-    time matching, not index construction, and the run reports whether
-    the two root sets are bit-identical - the differential contract at
-    bench scale, not just under Hypothesis.
+    :class:`~repro.automata.matching.TagMatcher`: once over a copy of
+    the sequence offering no columnar view (the per-event object loop,
+    the reference) and once over the sequence itself (the dense
+    transition table advancing over the store's typed columns, which
+    never touches a noise event).  Both index structures are prebuilt
+    so the passes time matching, not index construction, and the run
+    reports whether the two root sets are bit-identical - the
+    differential contract at bench scale, not just under Hypothesis.
     """
-    import os
-
     from ..core.api import compile_pattern
-    from ..mining.events import EventSequence
 
     hour = system.get("hour")
     structure = EventStructure(
@@ -750,28 +768,21 @@ def _x16(system, engine, scale) -> _Workload:
         system=system,
         engine=engine,
     )
+    object_sequence = _ObjectSequence(sequence)
     # Prebuild both sides' indexes: the posting-list anchor index the
     # object path screens with and the columnar view the dense runtime
     # scans, so the timed passes compare matching work only.
-    sequence.anchor_index()
+    object_sequence.anchor_index()
     sequence.columnar()
 
-    def timed_pass(mode):
-        previous = os.environ.get("REPRO_COLUMNAR")
-        os.environ["REPRO_COLUMNAR"] = mode
-        try:
-            start = time.perf_counter()
-            roots = list(matcher.matching_roots(sequence))
-            return roots, time.perf_counter() - start
-        finally:
-            if previous is None:
-                os.environ.pop("REPRO_COLUMNAR", None)
-            else:
-                os.environ["REPRO_COLUMNAR"] = previous
+    def timed_pass(sequence):
+        start = time.perf_counter()
+        roots = list(matcher.matching_roots(sequence))
+        return roots, time.perf_counter() - start
 
     def run():
-        object_roots, object_seconds = timed_pass("off")
-        columnar_roots, columnar_seconds = timed_pass("on")
+        object_roots, object_seconds = timed_pass(object_sequence)
+        columnar_roots, columnar_seconds = timed_pass(sequence)
         return {
             "events": len(sequence),
             "matches": len(columnar_roots),
@@ -794,21 +805,18 @@ def _x17(system, engine, scale) -> _Workload:
     A mining-shaped frontier - 64 candidate assignments of one
     three-variable chain (8 types for ``X1`` x 8 for ``X2``, all
     anchored on the same root type) - scanned three ways over the same
-    sequence: the per-candidate object path (``REPRO_COLUMNAR=off``,
-    the reference), the per-candidate dense path (``REPRO_BATCH=off``,
-    64 independent table scans), and the banked batch engine
-    (``REPRO_BATCH=on``, one :class:`~repro.automata.dense.DenseBatch`
-    advancing the whole frontier per root).  All three must produce
-    identical match sets; the gate is the batched engine beating the
-    single-candidate dense scans >= 3x, which is exactly the shared
-    guard/clock-tick/traversal work the banked tables exist to
-    amortise.
+    sequence: the per-candidate object path (a copy of the sequence
+    offering no columnar view, the reference), the per-candidate dense
+    path (each matcher's own ``matching_roots``, 64 independent table
+    scans), and the banked batch engine (``batch_matching_roots``, one
+    :class:`~repro.automata.dense.DenseBatch` advancing the whole
+    frontier per root).  All three must produce identical match sets;
+    the gate is the batched engine beating the single-candidate dense
+    scans >= 3x, which is exactly the shared guard/clock-tick/traversal
+    work the banked tables exist to amortise.
     """
-    import os
-
     from ..automata.matching import batch_matching_roots
     from ..core.api import compile_pattern
-    from ..mining.events import EventSequence
 
     hour = system.get("hour")
     minute = system.get("minute")
@@ -850,31 +858,27 @@ def _x17(system, engine, scale) -> _Workload:
         for mid in mids
         for tail in tails
     ]
-    sequence.anchor_index()
+    object_sequence = _ObjectSequence(sequence)
+    object_sequence.anchor_index()
     sequence.columnar()
 
-    def timed_pass(columnar, batch):
-        previous = {
-            name: os.environ.get(name)
-            for name in ("REPRO_COLUMNAR", "REPRO_BATCH")
-        }
-        os.environ["REPRO_COLUMNAR"] = columnar
-        os.environ["REPRO_BATCH"] = batch
-        try:
-            start = time.perf_counter()
-            roots = batch_matching_roots(matchers, sequence)
-            return roots, time.perf_counter() - start
-        finally:
-            for name, value in previous.items():
-                if value is None:
-                    os.environ.pop(name, None)
-                else:
-                    os.environ[name] = value
+    def timed_pass(scan, sequence):
+        start = time.perf_counter()
+        roots = scan(sequence)
+        return roots, time.perf_counter() - start
+
+    def per_matcher(sequence):
+        return [list(m.matching_roots(sequence)) for m in matchers]
+
+    def batched(sequence):
+        return batch_matching_roots(matchers, sequence)
 
     def run():
-        object_roots, object_seconds = timed_pass("off", "off")
-        single_roots, single_seconds = timed_pass("on", "off")
-        batched_roots, batched_seconds = timed_pass("on", "on")
+        object_roots, object_seconds = timed_pass(
+            per_matcher, object_sequence
+        )
+        single_roots, single_seconds = timed_pass(per_matcher, sequence)
+        batched_roots, batched_seconds = timed_pass(batched, sequence)
         return {
             "candidates": len(matchers),
             "events": len(sequence),
@@ -918,7 +922,6 @@ def _x18(system, engine, scale) -> _Workload:
     the timed compiled pass is the steady-state per-batch cost.
     """
     from ..granularity.combinators import GroupedType
-    from ..granularity.convcache import ConversionCache
     from ..granularity.normalform import cached_normal_form, clock_ticks_of
 
     def build_structure(bench_system):
@@ -937,10 +940,7 @@ def _x18(system, engine, scale) -> _Workload:
             },
         )
 
-    def propagation_pass(backend):
-        bench_system = standard_system(
-            cache=ConversionCache(), sizetable_backend=backend
-        )
+    def propagation_pass(bench_system):
         structure = build_structure(bench_system)
         start = time.perf_counter()
         result = propagate(structure, bench_system, engine=engine)
@@ -952,35 +952,30 @@ def _x18(system, engine, scale) -> _Workload:
         rng.randrange(0, horizon_seconds) for _ in range(20_000 * scale)
     )
 
-    def clock_pass(backend):
-        previous = os.environ.get("REPRO_SIZETABLE")
-        os.environ["REPRO_SIZETABLE"] = backend
-        try:
-            bench_system = standard_system(
-                cache=ConversionCache(), sizetable_backend=backend
-            )
-            month = bench_system.get("month")
-            if backend != "sweep":
-                cached_normal_form(month)
-            start = time.perf_counter()
-            ticks, defined = clock_ticks_of(month, times)
-            elapsed = time.perf_counter() - start
-            return [int(v) for v in ticks], [int(v) for v in defined], elapsed
-        finally:
-            if previous is None:
-                os.environ.pop("REPRO_SIZETABLE", None)
-            else:
-                os.environ["REPRO_SIZETABLE"] = previous
+    def clock_pass(bench_system):
+        month = bench_system.get("month")
+        cached_normal_form(month)
+        start = time.perf_counter()
+        ticks, defined = clock_ticks_of(month, times)
+        elapsed = time.perf_counter() - start
+        return [int(v) for v in ticks], [int(v) for v in defined], elapsed
+
+    def compiled_system():
+        return standard_system(cache=ConversionCache())
 
     def run():
-        sweep_result, sweep_prop_seconds = propagation_pass("sweep")
-        fast_result, fast_prop_seconds = propagation_pass("compiled")
+        sweep_result, sweep_prop_seconds = propagation_pass(_sweep_system())
+        fast_result, fast_prop_seconds = propagation_pass(compiled_system())
         propagation_identical = (
             sweep_result.consistent == fast_result.consistent
             and sweep_result.groups == fast_result.groups
         )
-        sweep_ticks, sweep_defined, sweep_clock_seconds = clock_pass("sweep")
-        fast_ticks, fast_defined, fast_clock_seconds = clock_pass("compiled")
+        sweep_ticks, sweep_defined, sweep_clock_seconds = clock_pass(
+            _sweep_system()
+        )
+        fast_ticks, fast_defined, fast_clock_seconds = clock_pass(
+            compiled_system()
+        )
         return {
             "events": len(times),
             "iterations": fast_result.iterations,

@@ -294,25 +294,15 @@ def _cmd_mine(args) -> int:
     system = standard_system()
     problem = problem_from_dict(load_json(args.problem), system)
     sequence = _load_events(args)
-    previous_batch = os.environ.get("REPRO_BATCH")
-    if args.batch_candidates:
-        os.environ["REPRO_BATCH"] = args.batch_candidates
-    try:
-        outcome = discover(
-            problem,
-            sequence,
-            system,
-            screen_depth=args.screen_depth,
-            engine=args.engine,
-            parallel=_parse_count(args.parallel, "--parallel"),
-            shard_size=_parse_count(args.shard_size, "--shard-size"),
-        )
-    finally:
-        if args.batch_candidates:
-            if previous_batch is None:
-                os.environ.pop("REPRO_BATCH", None)
-            else:
-                os.environ["REPRO_BATCH"] = previous_batch
+    outcome = discover(
+        problem,
+        sequence,
+        system,
+        screen_depth=args.screen_depth,
+        engine=args.engine,
+        parallel=_parse_count(args.parallel, "--parallel"),
+        shard_size=_parse_count(args.shard_size, "--shard-size"),
+    )
     if not outcome.stats.consistent:
         print("structure is inconsistent; nothing to mine")
         return 1
@@ -361,20 +351,10 @@ def _cmd_bench(args) -> int:
         if args.experiments
         else None
     )
-    previous_columnar = os.environ.get("REPRO_COLUMNAR")
-    if args.columnar:
-        os.environ["REPRO_COLUMNAR"] = args.columnar
-    try:
-        payload = run_suite(
-            engine=args.engine, profile=args.profile, experiments=experiments,
-            trace_dir=args.trace_dir,
-        )
-    finally:
-        if args.columnar:
-            if previous_columnar is None:
-                os.environ.pop("REPRO_COLUMNAR", None)
-            else:
-                os.environ["REPRO_COLUMNAR"] = previous_columnar
+    payload = run_suite(
+        engine=args.engine, profile=args.profile, experiments=experiments,
+        trace_dir=args.trace_dir,
+    )
     profiler = getattr(args, "profiler", None)
     if profiler is not None:
         # Snapshot the still-running profiler into the payload (main()
@@ -480,10 +460,7 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_gran_info(args) -> int:
-    from .granularity.normalform import (
-        explain_normal_form,
-        resolve_backend,
-    )
+    from .granularity.normalform import explain_normal_form
 
     system = standard_system()
     try:
@@ -491,18 +468,13 @@ def _cmd_gran_info(args) -> int:
     except GranularityParseError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    try:
-        backend = resolve_backend()
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
     print("granularity: %s" % ttype.label)
     info = explain_normal_form(ttype)
+    table = system.table(ttype).backend
     if not info["compiles"]:
         print("normal form: none")
         print("  reason: %s (%s)" % (info["reason"], info["detail"]))
-        print("backend: sweep (type does not lower; window-sweep "
-              "reference table)")
+        print("table: %s (%s)" % (table, info["reason"]))
         return 0
     print("normal form: %s" % info["source"])
     print("  compiled by: %s" % info["rule"])
@@ -524,10 +496,7 @@ def _cmd_gran_info(args) -> int:
         "" if info["exact_cover"]
         else " (size queries only; tick_of stays on the type)",
     ))
-    print("backend: %s (REPRO_SIZETABLE=%s)" % (
-        "compiled" if backend != "sweep" else "sweep",
-        os.environ.get("REPRO_SIZETABLE", "") or "auto",
-    ))
+    print("table: %s" % table)
     return 0
 
 
@@ -820,15 +789,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: auto-sized from the worker count)",
     )
     mine.add_argument(
-        "--batch-candidates",
-        choices=("auto", "on", "off"),
-        default=None,
-        help="batched multi-candidate frontier scanning (sets "
-        "REPRO_BATCH for this run, restored afterwards; 'off' is the "
-        "per-candidate differential reference; default: inherit the "
-        "environment). Output is identical in every mode.",
-    )
-    mine.add_argument(
         "--report",
         action="store_true",
         help="print a formatted report instead of raw solution lines",
@@ -846,14 +806,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the X1-X17 regression harness (see docs/PERFORMANCE.md)",
     )
     _add_engine_option(bench)
-    bench.add_argument(
-        "--columnar",
-        choices=("auto", "on", "off"),
-        default=None,
-        help="force the columnar store backend for this run (sets "
-        "REPRO_COLUMNAR for the suite, restored afterwards; "
-        "default: inherit the environment)",
-    )
     bench.add_argument(
         "--profile",
         choices=sorted(PROFILES),

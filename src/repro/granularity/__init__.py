@@ -67,7 +67,6 @@ from .normalform import (
     compile_normal_form,
     explain_normal_form,
     nf_max_period,
-    resolve_backend,
 )
 from .parser import GranularityParseError, parse_type
 from .periodic import PeriodicPatternType, shifts, weekly_slots
@@ -107,7 +106,6 @@ __all__ = [
     "NormalFormError",
     "compile_normal_form",
     "build_size_table",
-    "resolve_backend",
     "ConversionOutcome",
     "ConversionCache",
     "global_conversion_cache",

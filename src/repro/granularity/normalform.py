@@ -50,10 +50,11 @@ PAPERS.md).  This module implements that lowering:
   under numpy, memoized per-element otherwise) for the columnar
   matcher.
 
-Backend selection follows the repository's environment-knob idiom:
-``REPRO_SIZETABLE=auto|compiled|sweep`` (``auto``, the default, uses
-the compiled backend for every type that lowers and the sweep
-otherwise; ``sweep`` forces the reference backend everywhere).
+There is one production route per type, decided by the type alone:
+a type that lowers gets the compiled table and the bisection clocks;
+anything else gets the sweep :class:`~repro.granularity.sizes.
+SizeTable` and its own ``tick_of``.  The sweep table and ``tick_of``
+stay callable directly as the differential references.
 """
 
 from __future__ import annotations
@@ -75,12 +76,6 @@ try:  # pragma: no cover - exercised via the no-numpy CI job
         import numpy as _np
 except ImportError:  # pragma: no cover - numpy is present in dev envs
     _np = None
-
-#: Backend names accepted by :func:`resolve_backend` (and the env knob).
-BACKENDS = ("auto", "compiled", "sweep")
-
-#: Environment variable selecting the size-table backend.
-ENV_VAR = "REPRO_SIZETABLE"
 
 #: Refuse to compile periods larger than this (a scan that long is as
 #: bad as the sweep it replaces; nothing in the repertoire comes close).
@@ -152,24 +147,6 @@ class NormalFormError(ValueError):
     def __init__(self, message: str, reason: str = "no-period"):
         super().__init__(message)
         self.reason = reason
-
-
-def resolve_backend(override: Optional[str] = None) -> str:
-    """Normalise a backend name; None reads ``REPRO_SIZETABLE``.
-
-    Raises ValueError on names outside :data:`BACKENDS` (including a
-    malformed environment variable, surfaced early rather than being
-    silently treated as a default).
-    """
-    value = override if override is not None else os.environ.get(ENV_VAR)
-    if value is None or value == "":
-        return "auto"
-    if value not in BACKENDS:
-        raise ValueError(
-            "unknown size-table backend %r (expected one of %r)"
-            % (value, BACKENDS)
-        )
-    return value
 
 
 @dataclass(frozen=True)
@@ -945,29 +922,16 @@ class CompiledSizeTable:
 def build_size_table(
     ttype: TemporalType,
     horizon: int = 512,
-    backend: Optional[str] = None,
     form: Optional[PeriodicNormalForm] = None,
 ):
-    """Construct the size table the selected backend dictates.
+    """The size table of a type: compiled when it lowers, else the sweep.
 
-    ``auto`` compiles when the type lowers and sweeps otherwise;
-    ``compiled`` raises :class:`NormalFormError` for types that do not
-    lower (an explicit request must not silently degrade); ``sweep``
-    always builds the reference table.  ``form`` short-circuits
-    compilation with a pre-compiled normal form (the conversion cache
-    ships forms to fork-pool workers this way).
+    ``form`` short-circuits compilation with a pre-compiled normal form
+    (the conversion cache ships forms to fork-pool workers this way).
     """
-    resolved = resolve_backend(backend)
-    if resolved == "sweep":
-        return SizeTable(ttype, horizon=horizon)
     if form is None:
         form = cached_normal_form(ttype)
     if form is None:
-        if resolved == "compiled":
-            raise NormalFormError(
-                "REPRO_SIZETABLE=compiled but type %r does not lower to "
-                "a periodic normal form" % (ttype.label,)
-            )
         return SizeTable(ttype, horizon=horizon)
     return CompiledSizeTable(ttype, form=form, horizon=horizon)
 
@@ -975,13 +939,11 @@ def build_size_table(
 def clock_form(ttype: TemporalType) -> Optional[PeriodicNormalForm]:
     """The normal form backing fast clock evaluation, or None.
 
-    None whenever the backend is ``sweep`` (the reference path must
-    exercise the types' own ``tick_of``), the type does not lower, or
-    the form cannot certify exact instant coverage (a boundary-only
-    form must not decide coverage questions).
+    None whenever the type does not lower or its form cannot certify
+    exact instant coverage (a boundary-only form must not decide
+    coverage questions); the caller then uses the type's own
+    ``tick_of``.
     """
-    if resolve_backend() == "sweep":
-        return None
     form = cached_normal_form(ttype)
     if form is None or not form.exact_cover:
         return None
@@ -1010,10 +972,10 @@ def clock_ticks_of(ttype: TemporalType, seconds):
     Returns ``(ticks, defined)`` parallel lists (tick 0 where
     undefined).  With a compiled exact-cover form the whole column
     reduces to one vectorized divmod + ``searchsorted`` pass
-    (:meth:`PeriodicNormalForm.ticks_of_instants`); under the sweep
-    backend, or for types that do not lower, each element goes through
-    the type's own ``tick_of`` with a per-value memo - the reference
-    path the vectorized kernel is differentially tested against.
+    (:meth:`PeriodicNormalForm.ticks_of_instants`); for types without
+    one, each element goes through the type's own ``tick_of`` with a
+    per-value memo - the reference path the vectorized kernel is
+    differentially tested against.
     """
     form = clock_form(ttype)
     if form is not None:

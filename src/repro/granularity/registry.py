@@ -21,7 +21,11 @@ from .conversion import (
     direct_convert_interval,
 )
 from .convcache import ConversionCache, global_conversion_cache, new_namespace
-from .normalform import build_size_table, cached_normal_form, resolve_backend
+from .normalform import (
+    PeriodicNormalForm,
+    build_size_table,
+    cached_normal_form,
+)
 from .sizes import SizeTable
 
 #: Conversion strategies: "direct" scans actual boundary positions
@@ -39,7 +43,6 @@ class GranularitySystem:
         horizon: int = 512,
         conversion_mode: str = "direct",
         cache: Optional[ConversionCache] = None,
-        sizetable_backend: Optional[str] = None,
     ):
         if conversion_mode not in CONVERSION_MODES:
             raise ValueError(
@@ -47,9 +50,6 @@ class GranularitySystem:
             )
         self.horizon = horizon
         self.conversion_mode = conversion_mode
-        # None defers to REPRO_SIZETABLE (resolved when each table is
-        # built, so env changes between table constructions are seen).
-        self.sizetable_backend = sizetable_backend
         self._types: Dict[str, TemporalType] = {}
         self._tables: Dict[str, SizeTable] = {}
         self._covers: Dict[Tuple[str, str], bool] = {}
@@ -82,13 +82,13 @@ class GranularitySystem:
     def register(self, ttype: TemporalType) -> TemporalType:
         """Add a type; re-registering an equivalent type is a no-op.
 
-        Two types with the same label must agree behaviourally (checked
-        on a sample of leading ticks); otherwise registration is
-        rejected to keep labels unambiguous.
+        Two types with the same label must agree behaviourally (see
+        :meth:`_same_type`); otherwise registration is rejected to keep
+        labels unambiguous.
         """
         existing = self._types.get(ttype.label)
         if existing is not None:
-            if existing is ttype or _same_prefix(existing, ttype):
+            if existing is ttype or self._same_type(existing, ttype):
                 return existing
             raise ValueError(
                 "label %r already registered with a different type"
@@ -96,6 +96,24 @@ class GranularitySystem:
             )
         self._types[ttype.label] = ttype
         return ttype
+
+    def _same_type(self, a: TemporalType, b: TemporalType) -> bool:
+        """Behavioural equality of two types sharing a label.
+
+        When both lower, their normal forms decide exactly (label and
+        provenance aside); otherwise their tick bounds must agree over
+        the ``horizon`` ticks the fallback sweep table trusts.
+        """
+        if type(a) is not type(b):
+            return False
+        form_a = cached_normal_form(a)
+        form_b = cached_normal_form(b) if form_a is not None else None
+        if form_a is not None and form_b is not None:
+            return _form_shape(form_a) == _form_shape(form_b)
+        return all(
+            _bounds_or_none(a, index) == _bounds_or_none(b, index)
+            for index in range(self.horizon)
+        )
 
     def get(self, label: str) -> TemporalType:
         """Look up a type by label; raises KeyError when unknown."""
@@ -124,30 +142,24 @@ class GranularitySystem:
     def table(self, ttype_or_label) -> SizeTable:
         """The (cached) size table of a registered type.
 
-        The backend follows ``sizetable_backend`` (or the
-        ``REPRO_SIZETABLE`` environment knob when unset): ``compiled``
-        tables are built from the type's periodic normal form, fetched
-        from the conversion cache when a warmed worker already holds it
-        and cached there otherwise so the parallel engine can export it.
+        A type that lowers gets a compiled table built from its periodic
+        normal form, fetched from the conversion cache when a warmed
+        worker already holds it and cached there otherwise so the
+        parallel engine can export it; any other type gets the sweep.
         """
         ttype = self.resolve(ttype_or_label)
         tab = self._tables.get(ttype.label)
         if tab is None:
-            backend = resolve_backend(self.sizetable_backend)
-            form = None
-            if backend != "sweep":
-                form = self._cache.get_normal_form(
-                    self._cache_namespace, ttype.label
-                )
-                if form is None:
-                    form = cached_normal_form(ttype)
-                    if form is not None:
-                        self._cache.put_normal_form(
-                            self._cache_namespace, ttype.label, form
-                        )
-            tab = build_size_table(
-                ttype, horizon=self.horizon, backend=backend, form=form
+            form = self._cache.get_normal_form(
+                self._cache_namespace, ttype.label
             )
+            if form is None:
+                form = cached_normal_form(ttype)
+                if form is not None:
+                    self._cache.put_normal_form(
+                        self._cache_namespace, ttype.label, form
+                    )
+            tab = build_size_table(ttype, horizon=self.horizon, form=form)
             self._tables[ttype.label] = tab
         return tab
 
@@ -210,22 +222,25 @@ class GranularitySystem:
         }
 
 
-def _same_prefix(a: TemporalType, b: TemporalType, ticks: int = 8) -> bool:
-    """Heuristic behavioural equality: identical class and leading ticks."""
-    if type(a) is not type(b):
-        return False
-    for index in range(ticks):
-        try:
-            bounds_a = a.tick_bounds(index)
-        except ValueError:
-            bounds_a = None
-        try:
-            bounds_b = b.tick_bounds(index)
-        except ValueError:
-            bounds_b = None
-        if bounds_a != bounds_b:
-            return False
-    return True
+def _form_shape(form: PeriodicNormalForm) -> tuple:
+    """The instants a normal form denotes, without label or provenance."""
+    return (
+        form.period_ticks,
+        form.period_seconds,
+        form.firsts,
+        form.lasts,
+        form.prefix_firsts,
+        form.prefix_lasts,
+        form.exact_cover,
+    )
+
+
+def _bounds_or_none(ttype: TemporalType, index: int):
+    """A tick's bounds, or None past the end of a finite type."""
+    try:
+        return ttype.tick_bounds(index)
+    except ValueError:
+        return None
 
 
 def standard_system(
@@ -234,7 +249,6 @@ def standard_system(
     horizon: int = 512,
     conversion_mode: str = "direct",
     cache: Optional[ConversionCache] = None,
-    sizetable_backend: Optional[str] = None,
 ) -> GranularitySystem:
     """The paper's working granularity system.
 
@@ -260,6 +274,5 @@ def standard_system(
         horizon=horizon,
         conversion_mode=conversion_mode,
         cache=cache,
-        sizetable_backend=sizetable_backend,
     )
     return system

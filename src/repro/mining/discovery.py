@@ -239,15 +239,15 @@ def _batched_scan(
     strict: bool,
     anchor_screen: bool,
 ) -> None:
-    """Step 5 via the banked multi-candidate engine (``REPRO_BATCH``).
+    """Step 5 via the banked multi-candidate engine.
 
     Per-candidate anchor screening is unchanged (the identical viable
     root sets the per-candidate path computes); what is shared is the
     traversal - one :class:`~repro.automata.dense.BatchRuntime` sweep
     per root advances every candidate for which that root is viable.
     Per-candidate hits and starts split back exactly, so solutions,
-    frequencies and ``automaton_starts`` are bit-identical to the
-    ``REPRO_BATCH=off`` reference (held by the differential suite).
+    frequencies and ``automaton_starts`` are bit-identical to scanning
+    each candidate alone (held by the differential suite).
     """
     from ..automata.dense import BatchRuntime, compile_dense_batch
     from ..mining.evaluation import frontier_frequencies
@@ -547,15 +547,15 @@ def _discover(
 
     workers = resolve_workers(parallel)
     with span("mine.scan", roots=len(roots), workers=workers) as scan_span:
-        if workers > 1:
-            candidates = list(
-                candidate_assignments(
-                    problem,
-                    reduced,
-                    survivors=survivors,
-                    allowed_pairs=allowed_pairs,
-                )
+        candidates = list(
+            candidate_assignments(
+                problem,
+                reduced,
+                survivors=survivors,
+                allowed_pairs=allowed_pairs,
             )
+        )
+        if workers > 1:
             results, report = parallel_scan(
                 reduced,
                 system,
@@ -591,51 +591,30 @@ def _discover(
                     outcome.frequencies[cet] = frequency
             scan_span.set(candidates=outcome.candidates_evaluated)
             return outcome
-        from ..automata.dense import batch_active
-
-        if batch_active():
-            candidates = list(
-                candidate_assignments(
-                    problem,
-                    reduced,
-                    survivors=survivors,
-                    allowed_pairs=allowed_pairs,
-                )
+        if len(candidates) > 1:
+            _batched_scan(
+                problem,
+                outcome,
+                reduced,
+                system,
+                candidates,
+                windows,
+                roots,
+                total,
+                horizon,
+                strict,
+                anchor_screen,
             )
-            if len(candidates) > 1:
-                _batched_scan(
-                    problem,
-                    outcome,
-                    reduced,
-                    system,
-                    candidates,
-                    windows,
-                    roots,
-                    total,
-                    horizon,
-                    strict,
-                    anchor_screen,
-                )
-                scan_span.set(candidates=outcome.candidates_evaluated)
-                return outcome
-            # A frontier of one gains nothing from banking; fall
-            # through to the per-candidate path below.
+            scan_span.set(candidates=outcome.candidates_evaluated)
+            return outcome
+        # A frontier of one gains nothing from banking: scan it alone.
         view = None
-        index = None
         if anchor_screen and windows:
-            from ..store.columnar import columnar_active
-
-            if columnar_active():
-                # Batched screen: one searchsorted sweep per requirement
-                # over the whole anchor column (same viable set as the
-                # per-anchor posting-list probes).
-                view = reduced.columnar()
-                root_times = [reduced[root].time for root in roots]
-            else:
-                index = reduced.anchor_index()
-        for assignment in candidate_assignments(
-            problem, reduced, survivors=survivors, allowed_pairs=allowed_pairs
-        ):
+            # Batched screen: one searchsorted sweep per requirement
+            # over the whole anchor column.
+            view = reduced.columnar()
+            root_times = [reduced[root].time for root in roots]
+        for assignment in candidates:
             cet = ComplexEventType(structure, assignment)
             with span(
                 "mine.candidate",
@@ -664,13 +643,6 @@ def _discover(
                     viable = [
                         root for root, ok in zip(roots, mask) if ok
                     ]
-                elif index is not None:
-                    viable = index.viable_anchors(
-                        [(root, reduced[root].time) for root in roots],
-                        candidate_requirements(
-                            assignment, windows, structure.root
-                        ),
-                    )
                 frequency, starts = _frequency(
                     matcher, reduced, viable, total
                 )

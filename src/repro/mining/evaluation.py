@@ -69,8 +69,8 @@ def frontier_frequencies(
 ) -> Tuple[float, ...]:
     """Per-candidate frequencies from batched hit counters.
 
-    The batched scan engine (``REPRO_BATCH=on``) counts hits per
-    candidate while sharing one traversal across the whole frontier;
+    The batched scan engine counts hits per candidate while sharing
+    one traversal across the whole frontier;
     the split back to per-candidate support is exact - each counter is
     incremented only for its own candidate's accepting runs - so the
     frequency definition is unchanged from the per-candidate path:

@@ -23,15 +23,16 @@ past ``t0 + H``).  This module exploits both:
   merge_counter_deltas`, cache traffic via :meth:`~repro.granularity.
   convcache.ConversionCache.merge_counts`, spans by grafting under the
   open ``mine.scan`` span - so process-wide accounting stays exact;
-* when the columnar store is active the parent exports its int64
-  columns once over :class:`~repro.store.columnar.SharedColumns`
-  (POSIX shared memory, mmap-file fallback) and each worker *attaches*
-  zero-copy instead of relying on copy-on-write fork pages - the pool
-  initializer adopts the attached view into the inherited sequence;
-* with ``REPRO_BATCH`` on, candidates sharing a clock signature are
-  compiled into one :class:`~repro.automata.dense.DenseBatch` in the
-  parent; a pool task then scans one *group* of candidates over one
-  shard in a single banked traversal and returns per-member counts.
+* the parent exports the sequence's columnar int64 columns once over
+  :class:`~repro.store.columnar.SharedColumns` (POSIX shared memory,
+  mmap-file fallback) and each worker *attaches* zero-copy instead of
+  relying on copy-on-write fork pages - the pool initializer adopts
+  the attached view into the inherited sequence;
+* frontiers of two or more candidates are banked: candidates sharing
+  a clock signature are compiled into one
+  :class:`~repro.automata.dense.DenseBatch` in the parent; a pool task
+  then scans one *group* of candidates over one shard in a single
+  banked traversal and returns per-member counts.
 
 Units (contiguous slices of the task grid) are dispatched through a
 :class:`~repro.parallel.stealing.StealScheduler`: one in-flight unit
@@ -180,10 +181,10 @@ class ScanContext:
     horizon: Optional[int]
     strict: bool
     trace: bool
-    #: Banked candidate groups when ``REPRO_BATCH`` is on: each entry is
-    #: ``(candidate positions, DenseBatch, root symbol)`` and tasks
+    #: Banked candidate groups for frontiers of two or more: each entry
+    #: is ``(candidate positions, DenseBatch, root symbol)`` and tasks
     #: index groups instead of single candidates.  Empty = per-candidate
-    #: tasks (the reference path).
+    #: tasks.
     batch_groups: List[Tuple[Tuple[int, ...], object, str]] = field(
         default_factory=list
     )
@@ -502,11 +503,8 @@ def parallel_scan(
     if obs_debug():
         check_shard_invariants(shards, sequence, list(roots), horizon)
 
-    from ..automata.dense import batch_active
-    from ..store.columnar import columnar_active
-
     batch_groups: List[Tuple[Tuple[int, ...], object, str]] = []
-    if batch_active() and len(candidates) > 1:
+    if len(candidates) > 1:
         # Compile the frontier into banked tables once, in the parent;
         # workers inherit the compiled groups through fork and share
         # one traversal per (group, shard) task.  Grouping by root
@@ -551,16 +549,15 @@ def parallel_scan(
     _WORKERS_GAUGE.set(workers_used)
 
     shm_owner = None
-    if columnar_active():
-        # Build the columnar view (and its posting columns) once in the
-        # parent; pool workers then *attach* to the int64 columns over
-        # shared memory instead of faulting copy-on-write fork pages.
-        view = sequence.columnar()
-        if mode == "pool":
-            try:
-                shm_owner = view.to_shared()
-            except OSError:
-                shm_owner = None  # fork inheritance still works
+    # Build the columnar view (and its posting columns) once in the
+    # parent; pool workers then *attach* to the int64 columns over
+    # shared memory instead of faulting copy-on-write fork pages.
+    view = sequence.columnar()
+    if mode == "pool":
+        try:
+            shm_owner = view.to_shared()
+        except OSError:
+            shm_owner = None  # fork inheritance still works
 
     ctx = ScanContext(
         sequence=sequence,

@@ -6,10 +6,8 @@ from .columnar import (
     ColumnarFormatError,
     SharedColumns,
     attach_shared,
-    columnar_active,
     columnar_kernel,
     load_columnar,
-    resolve_columnar,
 )
 from .eventstore import EventRecord, EventStore
 
@@ -21,8 +19,6 @@ __all__ = [
     "ColumnarFormatError",
     "SharedColumns",
     "attach_shared",
-    "columnar_active",
     "columnar_kernel",
     "load_columnar",
-    "resolve_columnar",
 ]

@@ -1,4 +1,4 @@
-"""Columnar event storage: int64 columns behind ``REPRO_COLUMNAR``.
+"""Columnar event storage: int64 columns for the dense TAG runtime.
 
 The object-based :class:`~repro.store.eventstore.EventStore` keeps one
 Python object per event, which caps matching throughput around 10^5
@@ -10,18 +10,10 @@ time-bucketed skip index.  The dense TAG runtime
 (:mod:`repro.automata.dense`) sweeps these columns with batched
 select/gather operations instead of per-event Python dispatch.
 
-Backend taxonomy (mirrors ``REPRO_SIZETABLE`` / ``REPRO_NO_NUMPY``):
-
-``REPRO_COLUMNAR=auto`` (default)
-    columnar batch matching is used wherever a caller holds a columnar
-    view; the pure-Python ``array`` fallback keeps the layout available
-    without numpy.
-``REPRO_COLUMNAR=on``
-    same as ``auto`` today (the mode exists so scripts can pin the
-    behaviour against future default changes).
-``REPRO_COLUMNAR=off``
-    the kill switch: every consumer stays on the object-based reference
-    path, which remains the differential oracle.
+Routing is decided by the input: any sequence offering a
+``columnar()`` view is matched through the dense runtime, and anything
+else stays on the object-based reference path, which remains the
+differential oracle.
 
 Within the columnar layout, ``REPRO_NO_NUMPY`` (or a missing numpy)
 selects the ``fallback`` kernel: ``array('q')`` columns and bisect
@@ -61,9 +53,6 @@ try:  # pragma: no cover - exercised via the no-numpy CI job
 except ImportError:  # pragma: no cover - numpy is present in dev envs
     _np = None
 
-#: Columnar modes selectable through ``REPRO_COLUMNAR``.
-MODES = ("auto", "on", "off")
-
 #: Sentinel for "no attributes" in the attribute-code column.
 NO_ATTRS = 0
 
@@ -91,33 +80,6 @@ _SHM_ATTACHES = counter(
 class ColumnarFormatError(ValueError):
     """A persisted column file is malformed (wrong magic, truncated,
     undecodable header, or size mismatch)."""
-
-
-def resolve_columnar(mode: Optional[str] = None) -> str:
-    """Normalise a columnar mode to ``on`` or ``off``.
-
-    ``mode`` overrides the ``REPRO_COLUMNAR`` environment variable;
-    ``auto`` resolves to ``on`` (the array fallback means the layout is
-    always available - ``auto`` exists as the forward-compatible
-    default spelling).
-    """
-    value = (
-        mode
-        if mode is not None
-        else os.environ.get("REPRO_COLUMNAR", "auto")
-    )
-    value = value.strip().lower() or "auto"
-    if value not in MODES:
-        raise ValueError(
-            "unknown columnar mode %r (expected one of %r)"
-            % (value, MODES)
-        )
-    return "off" if value == "off" else "on"
-
-
-def columnar_active() -> bool:
-    """Should consumers route matching through the columnar backend?"""
-    return resolve_columnar() == "on"
 
 
 def columnar_kernel() -> str:

@@ -1,11 +1,11 @@
 """Differential oracle: batched frontier scanning vs single-candidate.
 
-``REPRO_BATCH=off`` is the differential reference: the banked
-:class:`~repro.automata.dense.DenseBatch` tables and the
+Running each candidate alone is the differential reference: the
+banked :class:`~repro.automata.dense.DenseBatch` tables and the
 :class:`~repro.automata.dense.BatchRuntime` frontier sweep are only
-allowed to exist because they are *bit-identical* to running each
-candidate's dense automaton alone - same match sets, same bindings,
-same support counts, same mining fingerprints.  Hypothesis generates
+allowed to exist because they are *bit-identical* to each candidate's
+own dense automaton and its object-path run - same match sets, same
+bindings, same support counts, same mining fingerprints.  Hypothesis generates
 candidate frontiers (several assignments of one structure, mixed
 granularities, duplicate timestamps) and shrinks any disagreement; the
 ``kernel`` fixture replays every property under both the numpy and the
@@ -21,12 +21,12 @@ owner's ``close()``.
 
 import glob
 import os
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.mining.discovery as discovery_module
 import repro.store.columnar as columnar_module
 from repro.automata.builder import build_tag
 from repro.automata.dense import (
@@ -43,6 +43,8 @@ from repro.mining.events import EventSequence
 from repro.parallel import fork_available, parallel_scan
 from repro.store import ColumnarEventStore
 from repro.store.columnar import attach_shared
+
+from ..oracles import ObjectSequence, reference_scan
 
 SYSTEM = standard_system()
 
@@ -64,26 +66,6 @@ def kernel(request, monkeypatch):
     else:
         monkeypatch.setattr(columnar_module, "_np", None)
     return request.param
-
-
-@contextmanager
-def batch_mode(mode):
-    """Pin ``REPRO_BATCH`` (with the columnar backend on, which
-    batching requires) for the duration of the block."""
-    previous = {
-        name: os.environ.get(name)
-        for name in ("REPRO_BATCH", "REPRO_COLUMNAR")
-    }
-    os.environ["REPRO_BATCH"] = mode
-    os.environ["REPRO_COLUMNAR"] = "on"
-    try:
-        yield
-    finally:
-        for name, value in previous.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
 
 
 def _shm_segments():
@@ -157,16 +139,16 @@ class TestMatchSets:
     @given(case=frontier_cases())
     @RELAXED
     def test_batched_match_sets_equal_single(self, kernel, case):
-        """batch_matching_roots under on == off == the raw per-matcher
-        loop, for any frontier/store/kernel combination."""
+        """batch_matching_roots == each matcher's own dense scan == its
+        object path, for any frontier/store/kernel combination."""
         structure, frontier, sequence, horizon, strict = case
         matchers = _build_matchers(structure, frontier, horizon, strict)
-        with batch_mode("on"):
-            batched = batch_matching_roots(matchers, sequence)
-        with batch_mode("off"):
-            single = batch_matching_roots(matchers, sequence)
-            raw = [list(m.matching_roots(sequence)) for m in matchers]
-        assert batched == single == raw
+        batched = batch_matching_roots(matchers, sequence)
+        single = [list(m.matching_roots(sequence)) for m in matchers]
+        object_path = batch_matching_roots(
+            matchers, ObjectSequence(sequence)
+        )
+        assert batched == single == object_path
 
     @given(case=frontier_cases())
     @RELAXED
@@ -175,39 +157,36 @@ class TestMatchSets:
         BatchRuntime sweep equal each member's own DenseRuntime run."""
         structure, frontier, sequence, horizon, strict = case
         matchers = _build_matchers(structure, frontier, horizon, strict)
-        with batch_mode("on"):
-            store = sequence.columnar()
-            denses = [compile_dense(m.tag) for m in matchers]
-            root_symbol = matchers[0].build.root_symbol
-            for positions, batch in compile_dense_batch(denses):
-                runtime = BatchRuntime(
-                    batch,
+        store = sequence.columnar()
+        denses = [compile_dense(m.tag) for m in matchers]
+        root_symbol = matchers[0].build.root_symbol
+        for positions, batch in compile_dense_batch(denses):
+            runtime = BatchRuntime(
+                batch,
+                store,
+                root_symbol,
+                structure.root,
+                strict=strict,
+                horizon_seconds=horizon,
+            )
+            roots = [
+                i for i in range(len(sequence)) if sequence[i].etype == "r"
+            ]
+            singles = [
+                DenseRuntime(
+                    denses[p],
                     store,
                     root_symbol,
                     structure.root,
                     strict=strict,
                     horizon_seconds=horizon,
                 )
-                roots = [
-                    i
-                    for i in range(len(sequence))
-                    if sequence[i].etype == "r"
-                ]
-                singles = [
-                    DenseRuntime(
-                        denses[p],
-                        store,
-                        root_symbol,
-                        structure.root,
-                        strict=strict,
-                        horizon_seconds=horizon,
-                    )
-                    for p in positions
-                ]
-                for root in roots:
-                    outcomes = runtime.match_many(root)
-                    for k in range(len(positions)):
-                        assert outcomes[k] == singles[k].match(root)
+                for p in positions
+            ]
+            for root in roots:
+                outcomes = runtime.match_many(root)
+                for k in range(len(positions)):
+                    assert outcomes[k] == singles[k].match(root)
 
 
 # ----------------------------------------------------------------------
@@ -254,23 +233,15 @@ def mining_cases(draw):
 class TestMiningFingerprints:
     @given(case=mining_cases())
     @RELAXED
-    def test_discover_identical_under_batch_on_off(self, kernel, case):
+    def test_discover_identical_under_batch_on_off(
+        self, kernel, monkeypatch, case
+    ):
         problem, sequence = case
-        with batch_mode("off"):
+        batched = discover(problem, sequence, SYSTEM)
+        with monkeypatch.context() as patch:
+            patch.setattr(discovery_module, "_batched_scan", reference_scan)
             reference = discover(problem, sequence, SYSTEM)
-        with batch_mode("on"):
-            batched = discover(problem, sequence, SYSTEM)
         assert _fingerprint(batched) == _fingerprint(reference)
-
-    @given(case=mining_cases())
-    @RELAXED
-    def test_auto_mode_equals_reference(self, kernel, case):
-        problem, sequence = case
-        with batch_mode("off"):
-            reference = discover(problem, sequence, SYSTEM)
-        with batch_mode("auto"):
-            auto = discover(problem, sequence, SYSTEM)
-        assert _fingerprint(auto) == _fingerprint(reference)
 
 
 # ----------------------------------------------------------------------
@@ -371,7 +342,6 @@ class TestWorkerCrashChaos:
         """An orchestration failure after the shard export must still
         reach the owner's close() - no segment survives the wreck."""
         monkeypatch.delenv("REPRO_PARALLEL", raising=False)
-        monkeypatch.setenv("REPRO_COLUMNAR", "on")
         from repro.parallel import stealing
 
         hour = SYSTEM.get("hour")
@@ -404,7 +374,6 @@ class TestWorkerCrashChaos:
 
     def test_pool_scan_leaves_no_segments(self, monkeypatch):
         monkeypatch.delenv("REPRO_PARALLEL", raising=False)
-        monkeypatch.setenv("REPRO_COLUMNAR", "on")
         hour = SYSTEM.get("hour")
         structure = EventStructure(
             ["R", "A"], {("R", "A"): [TCG(0, 1, hour)]}

@@ -1,8 +1,9 @@
 """Differential oracle: columnar batch matching vs the object path.
 
-The columnar backend (``REPRO_COLUMNAR=on``) is only allowed to exist
-because it is *bit-identical* to the object-based reference: same match
-sets, same bindings, same anchor-index answers, same mining outcomes.
+The columnar backend - the route of every sequence offering a
+``columnar()`` view - is only allowed to exist because it is
+*bit-identical* to the object-based reference: same match sets, same
+bindings, same anchor-index answers, same mining outcomes.
 Hypothesis generates the stores and the patterns and shrinks any
 disagreement to a minimal counterexample; the ``kernel`` fixture runs
 every property under both the numpy and the pure-Python ``array``
@@ -16,13 +17,11 @@ differences*, so deadline comparisons land exactly on event boundaries
 show up.
 """
 
-import os
-from contextlib import contextmanager
-
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.mining.discovery as discovery_module
 import repro.store.columnar as columnar_module
 from repro.automata import TagMatcher, build_tag
 from repro.constraints import TCG, ComplexEventType, EventStructure
@@ -32,6 +31,7 @@ from repro.mining.events import Event, EventSequence
 from repro.store import ColumnarEventStore
 from repro.store.anchorindex import AnchorIndex
 
+from ..oracles import ObjectSequence, reference_scan
 from ..strategies import rooted_dags
 
 SYSTEM = standard_system()
@@ -59,19 +59,6 @@ def kernel(request, monkeypatch):
     else:
         monkeypatch.setattr(columnar_module, "_np", None)
     return request.param
-
-
-@contextmanager
-def columnar_mode(mode):
-    previous = os.environ.get("REPRO_COLUMNAR")
-    os.environ["REPRO_COLUMNAR"] = mode
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_COLUMNAR", None)
-        else:
-            os.environ["REPRO_COLUMNAR"] = previous
 
 
 # ----------------------------------------------------------------------
@@ -122,26 +109,26 @@ class TestMatchSets:
             strict=strict,
             horizon_seconds=horizon,
         )
-        with columnar_mode("off"):
-            roots_object = list(matcher.matching_roots(sequence))
-            reference = {
-                index: matcher.match_from(sequence, index)
-                for index in sequence.occurrence_indices(
-                    matcher.build.root_symbol
+        roots_object = list(
+            matcher.matching_roots(ObjectSequence(sequence))
+        )
+        reference = {
+            index: matcher.match_from(sequence, index)
+            for index in sequence.occurrence_indices(
+                matcher.build.root_symbol
+            )
+        }
+        roots_columnar = list(matcher.matching_roots(sequence))
+        runtime = matcher._columnar_runtime(sequence)
+        assert runtime is not None
+        for index, expected in reference.items():
+            matched, bindings = runtime.match(index)
+            assert matched == expected.matched, (
+                "index %d: columnar=%s object=%s" % (
+                    index, matched, expected.matched,
                 )
-            }
-        with columnar_mode("on"):
-            roots_columnar = list(matcher.matching_roots(sequence))
-            runtime = matcher._columnar_runtime(sequence)
-            assert runtime is not None
-            for index, expected in reference.items():
-                matched, bindings = runtime.match(index)
-                assert matched == expected.matched, (
-                    "index %d: columnar=%s object=%s" % (
-                        index, matched, expected.matched,
-                    )
-                )
-                assert bindings == expected.bindings
+            )
+            assert bindings == expected.bindings
         assert roots_columnar == roots_object
 
     @given(case=stores_and_patterns())
@@ -169,10 +156,8 @@ class TestMatchSets:
             anchor_requirements=requirements,
         )
         plain = TagMatcher(build, strict=strict, horizon_seconds=horizon)
-        with columnar_mode("on"):
-            got = list(screened.matching_roots(sequence))
-        with columnar_mode("off"):
-            expected = list(plain.matching_roots(sequence))
+        got = list(screened.matching_roots(sequence))
+        expected = list(plain.matching_roots(ObjectSequence(sequence)))
         assert got == expected
 
 
@@ -295,7 +280,7 @@ def _outcome_fingerprint(outcome):
 class TestMiningParity:
     @given(case=mining_cases())
     @RELAXED
-    def test_mining_outcomes_identical(self, kernel, case):
+    def test_mining_outcomes_identical(self, kernel, monkeypatch, case):
         structure, sequence, confidence = case
         problem = EventDiscoveryProblem(
             structure=structure,
@@ -303,9 +288,9 @@ class TestMiningParity:
             reference_type="ref",
             candidates={"X1": frozenset(["a", "b"]), "X2": None},
         )
-        with columnar_mode("on"):
-            fast = discover(problem, sequence, SYSTEM)
-        with columnar_mode("off"):
+        fast = discover(problem, sequence, SYSTEM)
+        with monkeypatch.context() as patch:
+            patch.setattr(discovery_module, "_batched_scan", reference_scan)
             reference = discover(problem, sequence, SYSTEM)
         assert _outcome_fingerprint(fast) == _outcome_fingerprint(
             reference
@@ -325,10 +310,8 @@ def _chain_cet(gap_lo, gap_hi, granularity="hour"):
 
 class TestTargetedEdges:
     def assert_parity(self, matcher, sequence):
-        with columnar_mode("off"):
-            expected = list(matcher.matching_roots(sequence))
-        with columnar_mode("on"):
-            got = list(matcher.matching_roots(sequence))
+        expected = list(matcher.matching_roots(ObjectSequence(sequence)))
+        got = list(matcher.matching_roots(sequence))
         assert got == expected
         return expected
 

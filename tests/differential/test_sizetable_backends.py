@@ -10,6 +10,8 @@ of at least ``4 * period + 8`` so its exact region covers every probed
 ``k`` by construction.
 """
 
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,7 +28,12 @@ from repro.granularity.base import UniformType
 from repro.granularity.normalform import build_size_table, cached_normal_form
 from repro.granularity.periodic import PeriodicPatternType
 
-BACKENDS = ["compiled", "auto"]
+from ..oracles import sweep_route, sweep_system
+
+#: Two ways to reach the compiled table: constructed directly, and
+#: through the production route, which compiles every type that lowers.
+TABLES = {"compiled": CompiledSizeTable, "auto": build_size_table}
+BACKENDS = list(TABLES)
 
 
 # ----------------------------------------------------------------------
@@ -75,6 +82,25 @@ def sweep_reference(ttype):
     )
 
 
+def compiled_system(backend, ttype):
+    """A standard system on the compiled route with ``ttype`` registered.
+
+    ``auto`` compiles each form on first use; ``compiled`` receives the
+    forms pre-compiled through its conversion cache, the way fork-pool
+    workers are warmed.
+    """
+    system = standard_system(cache=ConversionCache())
+    system.register(ttype)
+    if backend == "compiled":
+        for label in (ttype.label, "minute", "hour"):
+            system.conversion_cache.put_normal_form(
+                system.cache_namespace,
+                label,
+                compile_normal_form(system.get(label)),
+            )
+    return system
+
+
 # ----------------------------------------------------------------------
 # Table-value identity
 # ----------------------------------------------------------------------
@@ -85,7 +111,7 @@ class TestTablesExactlyEqual:
     def test_periodic_values_identical(self, backend, ttype, data):
         period_ticks, _ = ttype.period_info()
         reference = sweep_reference(ttype)
-        compiled = build_size_table(ttype, backend=backend)
+        compiled = TABLES[backend](ttype)
         assert compiled.backend == "compiled"
         k = data.draw(
             st.integers(min_value=1, max_value=3 * period_ticks),
@@ -99,7 +125,7 @@ class TestTablesExactlyEqual:
     @settings(max_examples=60, deadline=None)
     def test_uniform_values_identical(self, backend, ttype, data):
         reference = sweep_reference(ttype)
-        compiled = build_size_table(ttype, backend=backend)
+        compiled = TABLES[backend](ttype)
         k = data.draw(st.integers(min_value=1, max_value=12), label="k")
         assert compiled.minsize(k) == reference.minsize(k)
         assert compiled.maxsize(k) == reference.maxsize(k)
@@ -110,7 +136,7 @@ class TestTablesExactlyEqual:
     def test_searches_identical(self, backend, ttype, data):
         period_ticks, period_seconds = ttype.period_info()
         reference = sweep_reference(ttype)
-        compiled = build_size_table(ttype, backend=backend)
+        compiled = TABLES[backend](ttype)
         # Targets small enough that both searches resolve inside the
         # sweep's exact region (answers stay below ~3 periods of ticks).
         target = data.draw(
@@ -141,8 +167,8 @@ class TestConversionsExactlyEqual:
         target = UniformType("tgt", target_seconds)
         src_sweep = sweep_reference(ttype)
         tgt_sweep = sweep_reference(target)
-        src_fast = build_size_table(ttype, backend=backend)
-        tgt_fast = build_size_table(target, backend=backend)
+        src_fast = TABLES[backend](ttype)
+        tgt_fast = TABLES[backend](target)
         expected = convert_interval(m, m + span, src_sweep, tgt_sweep)
         actual = convert_interval(m, m + span, src_fast, tgt_fast)
         assert actual == expected
@@ -155,14 +181,9 @@ class TestConversionsExactlyEqual:
     )
     @settings(max_examples=100, deadline=None)
     def test_system_convert_identical(self, backend, ttype, m, span, mode):
-        sweep_sys = standard_system(
-            cache=ConversionCache(), sizetable_backend="sweep"
-        )
-        fast_sys = standard_system(
-            cache=ConversionCache(), sizetable_backend=backend
-        )
-        for system in (sweep_sys, fast_sys):
-            system.register(ttype)
+        sweep_sys = sweep_system()
+        sweep_sys.register(sweep_route(copy.copy(ttype)))
+        fast_sys = compiled_system(backend, ttype)
         for source, target in (
             (ttype.label, "minute"),
             ("minute", ttype.label),
@@ -258,12 +279,8 @@ def test_standard_system_conversions_identical_across_backends():
     beyond it the sweep *extrapolates* and the exact compiled values
     may legitimately produce tighter (still sound) intervals.
     """
-    sweep_sys = standard_system(
-        cache=ConversionCache(), sizetable_backend="sweep", horizon=2600
-    )
-    fast_sys = standard_system(
-        cache=ConversionCache(), sizetable_backend="auto", horizon=2600
-    )
+    sweep_sys = sweep_system(horizon=2600)
+    fast_sys = standard_system(cache=ConversionCache(), horizon=2600)
     labels = sweep_sys.labels()
     for source in labels:
         for target in labels:

@@ -48,6 +48,8 @@ from repro.granularity.gregorian import (
 )
 from repro.granularity.normalform import cached_normal_form
 
+from ..oracles import sweep_system
+
 DAY = SECONDS_PER_DAY
 WEEK = 7 * DAY
 CYCLE_SECONDS = DAYS_PER_400_YEARS * DAY
@@ -423,10 +425,8 @@ class TestBatchedConversion:
         assert list(defined) == [1, 0, 0, 1, 0]
         assert list(ticks) == [0, 0, 0, 1, 0]
 
-    def test_sweep_mode_uses_reference_path(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIZETABLE", "sweep")
-        system = standard_system(cache=ConversionCache())
-        month = system.get("month")
+    def test_sweep_mode_uses_reference_path(self):
+        month = sweep_system().get("month")
         seconds = [0, 40 * DAY]
         ticks, defined = clock_ticks_of(month, seconds)
         assert list(ticks) == [0, 1]
@@ -460,25 +460,21 @@ class TestParserConstructors:
 
 
 class TestPrewarmShipsForms:
-    # The backend is pinned so the tests also hold under the CI jobs
-    # that set an ambient REPRO_SIZETABLE=sweep.
     def test_month_form_exports(self):
         cache = ConversionCache()
-        system = standard_system(cache=cache, sizetable_backend="auto")
+        system = standard_system(cache=cache)
         system.table("month")
         labels = [label for label, _ in cache.export_normal_forms()]
         assert "month" in labels
 
     def test_preloaded_form_is_used(self):
         cache = ConversionCache()
-        source = standard_system(cache=cache, sizetable_backend="auto")
+        source = standard_system(cache=cache)
         source.table("month")
         exported = cache.export_normal_forms()
 
         target_cache = ConversionCache()
-        target = standard_system(
-            cache=target_cache, sizetable_backend="auto"
-        )
+        target = standard_system(cache=target_cache)
         count = target_cache.preload_normal_forms(
             target.cache_namespace, exported
         )

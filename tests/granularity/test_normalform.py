@@ -12,7 +12,6 @@ from repro.granularity import (
     SizeTable,
     build_size_table,
     compile_normal_form,
-    resolve_backend,
     standard_system,
 )
 from repro.granularity.base import UniformType
@@ -26,28 +25,7 @@ from repro.granularity.normalform import (
 from repro.granularity.periodic import PeriodicPatternType
 from repro.granularity.sizes import BoundedMemo
 
-
-class TestResolveBackend:
-    def test_default_is_auto(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIZETABLE", raising=False)
-        assert resolve_backend() == "auto"
-
-    def test_empty_env_is_auto(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIZETABLE", "")
-        assert resolve_backend() == "auto"
-
-    def test_env_selects(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIZETABLE", "sweep")
-        assert resolve_backend() == "sweep"
-
-    def test_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIZETABLE", "sweep")
-        assert resolve_backend("compiled") == "compiled"
-
-    def test_invalid_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIZETABLE", "turbo")
-        with pytest.raises(ValueError):
-            resolve_backend()
+from ..oracles import sweep_route, sweep_system
 
 
 class TestCompiler:
@@ -237,34 +215,30 @@ class TestPrefixForms:
 
 class TestBuildSizeTable:
     def test_sweep_backend(self):
-        table = build_size_table(UniformType("u", 10), backend="sweep")
+        table = build_size_table(sweep_route(UniformType("u", 10)))
         assert isinstance(table, SizeTable)
         assert table.backend == "sweep"
 
     def test_auto_compiles_when_possible(self):
-        table = build_size_table(UniformType("u", 10), backend="auto")
+        table = build_size_table(UniformType("u", 10))
         assert isinstance(table, CompiledSizeTable)
         assert table.backend == "compiled"
 
     def test_auto_falls_back_to_sweep(self, monkeypatch):
         monkeypatch.setenv("REPRO_NF_MAX_PERIOD", "16")
         system = standard_system(cache=ConversionCache())
-        table = build_size_table(system.get("month"), backend="auto")
+        table = build_size_table(system.get("month"))
         assert isinstance(table, SizeTable)
 
     def test_compiled_refuses_non_lowering(self, monkeypatch):
+        # An explicit compiled table never degrades to a sweep.
         monkeypatch.setenv("REPRO_NF_MAX_PERIOD", "16")
         system = standard_system(cache=ConversionCache())
         with pytest.raises(NormalFormError):
-            build_size_table(system.get("month"), backend="compiled")
-
-    def test_env_is_the_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIZETABLE", "sweep")
-        table = build_size_table(UniformType("u", 10))
-        assert isinstance(table, SizeTable)
+            CompiledSizeTable(system.get("month"))
 
     def test_probe_stats_shape(self):
-        table = build_size_table(UniformType("u", 10), backend="auto")
+        table = build_size_table(UniformType("u", 10))
         table.minsize(3)
         table.minsize(3)
         stats = table.probe_stats()
@@ -307,25 +281,25 @@ class TestMemoBounds:
 
 
 class TestClockRouting:
-    def test_clock_form_none_under_sweep(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIZETABLE", "sweep")
-        assert clock_form(UniformType("u", 10)) is None
+    def test_clock_form_none_under_sweep(self):
+        assert clock_form(sweep_route(UniformType("u", 10))) is None
 
-    def test_clock_form_none_without_exact_cover(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIZETABLE", raising=False)
+    def test_clock_form_none_without_exact_cover(self):
         base = PeriodicPatternType("b", 50, [(0, 10), (25, 10)])
         grouped = GroupedType(base, 2, label="g2")
         assert clock_form(grouped) is None
 
-    def test_clock_helpers_match_type_methods(self, monkeypatch):
-        ttype = PeriodicPatternType("p", 60, [(0, 20), (30, 10)])
-        for backend in ("sweep", "auto", "compiled"):
-            monkeypatch.setenv("REPRO_SIZETABLE", backend)
-            # reset the per-instance cache so gating is re-evaluated
+    def test_clock_helpers_match_type_methods(self):
+        def make():
+            return PeriodicPatternType("p", 60, [(0, 20), (30, 10)])
+
+        compiled = make()
+        assert clock_form(compiled) is not None
+        for ttype in (compiled, sweep_route(make())):
             for second in range(0, 200, 7):
                 assert clock_tick_of(ttype, second) == ttype.tick_of(
                     second
-                ), (backend, second)
+                ), second
             assert clock_distance(ttype, 5, 95) == ttype.distance(5, 95)
 
 
@@ -351,13 +325,12 @@ class TestConvcacheForms:
 
     def test_system_table_populates_form_cache(self):
         cache = ConversionCache()
-        system = standard_system(cache=cache, sizetable_backend="auto")
+        system = standard_system(cache=cache)
         system.table("b-day")
         namespace = system.cache_namespace
         assert cache.get_normal_form(namespace, "b-day") is not None
 
     def test_sweep_system_does_not_touch_form_cache(self):
-        cache = ConversionCache()
-        system = standard_system(cache=cache, sizetable_backend="sweep")
+        system = sweep_system()
         system.table("b-day")
-        assert cache.stats()["normal_forms"] == 0
+        assert system.conversion_cache.stats()["normal_forms"] == 0

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.granularity import (
+    BusinessDayType,
     GranularitySystem,
     GroupedType,
     UniformType,
@@ -10,6 +11,31 @@ from repro.granularity import (
     month,
     standard_system,
 )
+from repro.granularity.base import TemporalType
+from repro.granularity.gregorian import SECONDS_PER_DAY as DAY
+
+
+class SweepOnly(TemporalType):
+    """Fixed-width ticks declaring no period, so no normal form exists
+    and the system falls back to comparing tick bounds; ``skew_at``
+    moves that one tick's last second one earlier."""
+
+    def __init__(self, label, width, skew_at=None):
+        self.label = label
+        self.width = width
+        self.skew_at = skew_at
+
+    def tick_of(self, second):
+        index = second // self.width
+        if second == self.tick_bounds(index)[1] + 1:
+            return None
+        return index
+
+    def tick_bounds(self, index):
+        if index < 0:
+            raise ValueError(index)
+        last = (index + 1) * self.width - 1
+        return index * self.width, last - (index == self.skew_at)
 
 
 class TestRegistration:
@@ -30,6 +56,31 @@ class TestRegistration:
         impostor = UniformType("day", 3600)
         with pytest.raises(ValueError):
             system.register(impostor)
+
+    def test_late_holiday_is_not_aliased_to_holiday_free_bday(self):
+        # The two calendars agree on their first ~1000 days, so a
+        # leading-tick sample cannot tell them apart; their normal
+        # forms can.
+        system = standard_system()
+        late = BusinessDayType(holidays=(1001,))
+        assert system.get("b-day").tick_of(1001 * DAY) is not None
+        assert late.tick_of(1001 * DAY) is None
+        with pytest.raises(ValueError):
+            system.register(late)
+
+    def test_equal_forms_alias_whatever_the_label_provenance(self):
+        system = standard_system()
+        assert system.register(BusinessDayType()) is system.get("b-day")
+
+    def test_non_lowering_types_compare_over_the_horizon(self):
+        far = SweepOnly("p", 3600)
+        system = GranularitySystem([far], horizon=20)
+        assert system.register(SweepOnly("p", 3600)) is far
+        with pytest.raises(ValueError):
+            system.register(SweepOnly("p", 3600, skew_at=19))
+        # A difference past the horizon is outside the window the
+        # sweep table trusts, so it does not make the types differ.
+        assert system.register(SweepOnly("p", 3600, skew_at=20)) is far
 
     def test_resolve_accepts_type_or_label(self):
         system = GranularitySystem([month()])

@@ -54,8 +54,8 @@ class TestDiscoverAcceptance:
         assert "propagate.convert" in names     # conversion
         assert "stp.close" in names             # closures
         assert "tag.build" in names             # TAG construction
-        # TAG matching: the per-candidate scan, or one banked frontier
-        # sweep when REPRO_BATCH (default on) merges the candidates.
+        # TAG matching: the per-candidate scan for a frontier of one,
+        # or one banked frontier sweep merging the candidates.
         assert names & {"tag.match", "tag.batch_scan"}
         assert "mine.candidate" in names
         # The metrics dump rides on stdout and is well-formed.

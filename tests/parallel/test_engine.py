@@ -148,9 +148,9 @@ class TestParallelScan:
         )
         assert [result.hits for result in results] == expected
         assert report["executor"] == "inline"
-        # With REPRO_BATCH active the grid is groups x shards (both
-        # candidates share a clock signature -> one group), otherwise
-        # candidates x shards.
+        # A frontier of two or more is banked, so the grid is groups x
+        # shards (both candidates share a clock signature -> one
+        # group); a frontier of one is candidates x shards.
         grain = report["batch_groups"] or len(candidates)
         assert report["tasks"] == grain * report["shards"]
 

@@ -288,21 +288,22 @@ class TestGranInfo:
         out = capsys.readouterr().out
         assert "normal form: none" in out
         assert "reason: over-budget" in out
-        assert "backend: sweep" in out
+        assert "table: sweep (over-budget)" in out
 
-    def test_backend_env_is_reported(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_SIZETABLE", "compiled")
+    def test_compiled_table_kind_is_reported(self, capsys):
         assert main(["gran", "info", "second"]) == 0
-        assert "REPRO_SIZETABLE=compiled" in capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "table: compiled"
 
     def test_parse_error_exits_2(self, capsys):
         assert main(["gran", "info", "lunar(3)"]) == 2
         assert "error" in capsys.readouterr().err
 
-    def test_invalid_backend_env_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_SIZETABLE", "turbo")
-        assert main(["gran", "info", "second"]) == 2
-        assert "error" in capsys.readouterr().err
+    def test_sweep_table_kind_names_the_reason(self, capsys):
+        # No business month has a 30th business day: no pick stream.
+        assert main(["gran", "info", "nth(b-day, month, 30)"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "table: sweep (aperiodic)"
 
     def test_missing_subcommand_exits(self):
         with pytest.raises(SystemExit):
