@@ -49,7 +49,7 @@ from .convcache import (
     global_conversion_cache,
     reset_global_conversion_cache,
 )
-from .conversion import ConversionOutcome, convert_interval, covers_prefix
+from .conversion import ConversionOutcome, convert_interval, covered_by
 from .customcal import (
     CustomCalendar,
     CustomMonthType,
@@ -60,6 +60,7 @@ from .customcal import (
 from .intersection import IntersectionType, business_hours
 from .normalform import (
     CompiledSizeTable,
+    CoverSet,
     NormalFormError,
     PeriodicNormalForm,
     build_size_table,
@@ -111,7 +112,8 @@ __all__ = [
     "global_conversion_cache",
     "reset_global_conversion_cache",
     "convert_interval",
-    "covers_prefix",
+    "covered_by",
+    "CoverSet",
     "GranularitySystem",
     "standard_system",
     "PeriodicPatternType",

@@ -37,7 +37,6 @@ shrink a form count into ``repro_sizetable_minimized_total``.
 from __future__ import annotations
 
 import os
-from math import gcd
 from typing import Callable, List, Optional, Tuple
 
 from ..obs import counter, span
@@ -55,9 +54,12 @@ from .combinators import (
 )
 from .intersection import IntersectionType
 from .normalform import (
+    CoverSet,
     NormalFormError,
     PeriodicNormalForm,
     _covers_whole_bounds,
+    _divisors,
+    _lcm,
     cached_normal_form,
     nf_max_period,
 )
@@ -77,25 +79,6 @@ _MINIMIZED = counter(
 )
 
 Bounds = Tuple[int, int]
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
-
-
-def _divisors(n: int) -> List[int]:
-    """All divisors of ``n`` in ascending order."""
-    small: List[int] = []
-    large: List[int] = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            small.append(i)
-            if i != n // i:
-                large.append(n // i)
-        i += 1
-    large.reverse()
-    return small + large
 
 
 # ----------------------------------------------------------------------
@@ -190,6 +173,7 @@ def minimize_form(form: PeriodicNormalForm) -> PeriodicNormalForm:
         source=form.source,
         rule=form.rule,
         minimized_from=form.minimized_from or (P0, B0),
+        cover_set=form.cover_set,
     )
     _MINIMIZED.inc()
     return minimized
@@ -1078,6 +1062,29 @@ _RULES: List[Tuple[type, str, Callable]] = [
     (NthSubgranuleType, "nth-subgranule", _lower_nth),
     (FormBackedType, "form", _lower_form_backed),
 ]
+
+
+def inherited_cover(
+    ttype: TemporalType, form: PeriodicNormalForm
+) -> Optional[CoverSet]:
+    """The covered instants of a form whose ticks group operand ticks.
+
+    Such a form cannot certify ``exact_cover`` (its ticks span operand
+    gaps), yet its instant set is the operand's: a b-week or
+    business-month tick is the business days it bounds, and a grouped
+    tick is the instants of its base ticks, from the first grouped tick
+    on.  None for any other type, or when the operand has no cover set.
+    """
+    if isinstance(ttype, (BusinessWeekType, BusinessMonthType)):
+        operand = cached_normal_form(ttype.bday)
+    elif isinstance(ttype, GroupedType):
+        operand = cached_normal_form(ttype.base)
+    else:
+        return None
+    cover = operand.cover() if operand is not None else None
+    if cover is None:
+        return None
+    return cover.from_instant(form.instant_of_tick(0)[0])
 
 
 def _match_rule(ttype: TemporalType):

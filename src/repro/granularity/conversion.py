@@ -11,6 +11,8 @@ with the feasibility precondition that every instant covered by the
 source type is covered by the target type (otherwise the derived
 constraint's ``ceil`` operator could be undefined for events satisfying
 the original constraint, and the conversion would not be implied).
+:func:`covered_by` decides that precondition exactly on the types'
+normal forms.
 
 Soundness (proved in the module tests by exhaustive/property checks): if
 timestamps ``t1 <= t2`` satisfy ``[m, n]_mu1`` and both are covered by
@@ -20,9 +22,16 @@ timestamps ``t1 <= t2`` satisfy ``[m, n]_mu1`` and both are covered by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
+from ..obs import counter, span
 from .base import TemporalType
+from .normalform import (
+    PeriodicNormalForm,
+    cached_normal_form,
+    clock_form,
+    nf_max_period,
+)
 from .sizes import SizeTable
 
 
@@ -51,7 +60,7 @@ def convert_interval(
     """Convert ``[m, n]`` from the source type to the target type.
 
     The caller is responsible for having checked feasibility (see
-    :func:`covers_prefix`); this function is pure table arithmetic.
+    :func:`covered_by`); this function is pure table arithmetic.
     """
     if m < 0 or n < m:
         raise ValueError("invalid interval [%r, %r]" % (m, n))
@@ -90,6 +99,9 @@ def direct_convert_interval(
     periodic calendar types this is exact, and it is what the follow-up
     literature on direct multi-granularity conversions computes.  The
     caller must have established feasibility (target covers source).
+    Target ticks are read like TAG clocks (:func:`~repro.granularity.
+    normalform.clock_tick_of`): by bisection over the target's form
+    under ``exact_cover``, through its own ``tick_of`` otherwise.
     """
     if m < 0 or n < m:
         raise ValueError("invalid interval [%r, %r]" % (m, n))
@@ -100,76 +112,85 @@ def direct_convert_interval(
             "horizon %d too small for direct conversion of [%d, %d]"
             % (scanned, m, n)
         )
-    lower = None
-    upper = None
-    for i in range(scanned - n):
-        first_i, last_i = source_table.bounds(i)
-        if m == 0:
-            low_candidate = 0
-        else:
-            first_im, _ = source_table.bounds(i + m)
-            c_from = target.tick_of(last_i)
-            c_to = target.tick_of(first_im)
-            if c_from is None or c_to is None:
-                return ConversionOutcome(interval=None)
-            low_candidate = max(0, c_to - c_from)
-        _, last_in = source_table.bounds(i + n)
-        d_from = target.tick_of(first_i)
-        d_to = target.tick_of(last_in)
-        if d_from is None or d_to is None:
-            return ConversionOutcome(interval=None)
-        high_candidate = d_to - d_from
-        lower = low_candidate if lower is None else min(lower, low_candidate)
-        upper = high_candidate if upper is None else max(upper, high_candidate)
-    if lower is None or upper is None:
+    form = clock_form(target)
+    tick_of = form.tick_of_instant if form is not None else target.tick_of
+    count = scanned - n
+    bounds = [source_table.bounds(i) for i in range(scanned)]
+    # Target ticks of each source tick's first and last instant, over
+    # exactly the source ticks the candidates read.
+    first_at = set(range(count))
+    last_at = set(range(n, scanned))
+    if m:
+        first_at.update(range(m, m + count))
+        last_at.update(range(count))
+    firsts = {i: tick_of(bounds[i][0]) for i in first_at}
+    lasts = {i: tick_of(bounds[i][1]) for i in last_at}
+    if None in firsts.values() or None in lasts.values():
         return ConversionOutcome(interval=None)
+    upper = max(lasts[i + n] - firsts[i] for i in range(count))
+    lower = 0
+    if m:
+        lower = max(0, min(firsts[i + m] - lasts[i] for i in range(count)))
     return ConversionOutcome(interval=(lower, upper))
 
 
-def covers_prefix(
-    target: TemporalType,
+def covered_by(
     source: TemporalType,
-    min_span_seconds: int = 40_000_000,
-    max_checks: int = 200_000,
+    target: TemporalType,
+    normal_form: Callable[
+        [TemporalType], Optional[PeriodicNormalForm]
+    ] = cached_normal_form,
 ) -> bool:
-    """Empirically check the A.1 feasibility condition on a prefix.
+    """Decide the A.1 feasibility condition: does ``target`` cover ``source``?
 
-    The condition is: every instant belonging to a tick of ``source``
-    belongs to some tick of ``target``.  This cannot be decided for
-    arbitrary types, so we scan a prefix of the timeline:
+    The condition is that every instant of a ``source`` tick belongs to
+    some ``target`` tick (Schwer's "covered-by" relation on granules).
+    A ``total`` target covers everything.  Otherwise the answer is the
+    containment of the two types' cover sets
+    (:meth:`~repro.granularity.normalform.PeriodicNormalForm.cover`),
+    decided exactly by :meth:`~repro.granularity.normalform.CoverSet.
+    contains` over one common cycle.  When either side has no cover
+    set, or the sweep would exceed the ``REPRO_NF_MAX_PERIOD`` budget,
+    the decision is refused (reason ``no-cover-set`` or
+    ``over-budget``): False, which merely drops a conversion - always
+    sound.
 
-    * a ``target`` declared :attr:`~repro.granularity.base.TemporalType.
-      total` covers everything by construction - certified immediately;
-    * otherwise instants are probed at the target's boundary alignment
-      (target coverage is constant inside an alignment block, so one
-      probe per block intersecting a source tick is exact) across at
-      least ``min_span_seconds`` of timeline - the ~463-day default sees
-      every weekday-pattern gap and any holiday within the first year.
-
-    A check that would exceed ``max_checks`` probes refuses to certify
-    (returns False), which merely drops a conversion - always sound.
+    ``normal_form`` maps a type to its compiled form (a system passes
+    its own cache-aware lookup).  Each decision runs under a
+    ``granularity.covers`` span and counts into
+    ``repro_covers_decisions_total{method,result}``; refusals also
+    count into ``repro_covers_refusals_total{reason}``.
     """
-    if target.total:
-        return True
-    stride = max(1, target.alignment_seconds)
-    checks = 0
-    index = 0
-    while True:
-        try:
-            first, last = source.tick_bounds(index)
-        except ValueError:
-            return True  # source ran out of ticks; prefix fully verified
-        if first > min_span_seconds and index > 0:
-            return True
-        instant = first
-        while instant <= last:
-            checks += 1
-            if checks > max_checks:
-                return False  # refuse to certify: treat as not covering
-            if source.tick_of(instant) == index and not target.covers(instant):
-                return False
-            instant += stride
-        # Always test the very last instant of the tick as well.
-        if source.tick_of(last) == index and not target.covers(last):
-            return False
-        index += 1
+    with span(
+        "granularity.covers", source=source.label, target=target.label
+    ) as covers_span:
+        reason = ""
+        if target.total:
+            method, result = "total", True
+        else:
+            target_form = normal_form(target)
+            source_form = normal_form(source)
+            target_cover = target_form.cover() if target_form else None
+            source_cover = source_form.cover() if source_form else None
+            if target_cover is None or source_cover is None:
+                answer, reason = None, "no-cover-set"
+            else:
+                answer = target_cover.contains(source_cover, nf_max_period())
+                reason = "over-budget" if answer is None else ""
+            method = "refused" if answer is None else "form"
+            result = bool(answer)
+        covers_span.set(method=method, result=result)
+        counter(
+            "repro_covers_decisions_total",
+            "A.1 coverage decisions, by method (total/form/refused) and "
+            "result",
+            labels={"method": method, "result": str(result).lower()},
+        ).inc()
+        if reason:
+            covers_span.set(reason=reason)
+            counter(
+                "repro_covers_refusals_total",
+                "A.1 coverage decisions refused, by reason",
+                labels={"reason": reason},
+            ).inc()
+        return result

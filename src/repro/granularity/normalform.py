@@ -50,6 +50,11 @@ PAPERS.md).  This module implements that lowering:
   under numpy, memoized per-element otherwise) for the columnar
   matcher.
 
+* :meth:`PeriodicNormalForm.cover` is the :class:`CoverSet` of a
+  type - the instants it covers as an eventually periodic run set -
+  on which :func:`~repro.granularity.conversion.covered_by` decides the
+  appendix A.1 coverage precondition exactly by set containment.
+
 There is one production route per type, decided by the type alone:
 a type that lowers gets the compiled table and the bisection clocks;
 anything else gets the sweep :class:`~repro.granularity.sizes.
@@ -61,8 +66,9 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass, field, replace
+from math import gcd
+from typing import List, Optional, Sequence, Tuple
 
 from ..obs import counter, span
 from .base import TemporalType, UniformType
@@ -149,6 +155,194 @@ class NormalFormError(ValueError):
         self.reason = reason
 
 
+def _lcm(a: int, b: int) -> int:
+    return a * b // gcd(a, b)
+
+
+def _divisors(n: int) -> List[int]:
+    """All divisors of ``n`` in ascending order."""
+    small: List[int] = []
+    large: List[int] = []
+    i = 1
+    while i * i <= n:
+        if n % i == 0:
+            small.append(i)
+            if i != n // i:
+                large.append(n // i)
+        i += 1
+    large.reverse()
+    return small + large
+
+
+def _merge_runs(runs) -> List[List[int]]:
+    """Coalesce ordered disjoint ``(first, last)`` runs that touch."""
+    merged: List[List[int]] = []
+    for first, last in runs:
+        if merged and merged[-1][1] + 1 == first:
+            merged[-1][1] = last
+        else:
+            merged.append([first, last])
+    return merged
+
+
+@dataclass(frozen=True)
+class CoverSet:
+    """The instants a type covers, as an eventually periodic run set.
+
+    ``prefix_firsts``/``prefix_lasts`` are the covered runs before the
+    periodic start ``firsts[0]``; from there on the runs
+    ``(firsts[r], lasts[r])`` repeat every ``period_seconds``.  Built by
+    :meth:`from_ticks`: touching runs merged, the period starting right
+    after a gap, and the period reduced to its smallest divisor - the
+    minimal periodic set of Bettini, Mascetti & Wang, over instants
+    rather than ticks.
+    """
+
+    prefix_firsts: Tuple[int, ...]
+    prefix_lasts: Tuple[int, ...]
+    firsts: Tuple[int, ...]
+    lasts: Tuple[int, ...]
+    period_seconds: int
+
+    @classmethod
+    def from_ticks(
+        cls,
+        prefix: Sequence[Tuple[int, int]],
+        period: Sequence[Tuple[int, int]],
+        period_seconds: int,
+    ) -> "CoverSet":
+        """The cover set of ordered tick bounds (prefix, one period)."""
+        S = period_seconds
+        head = _merge_runs(prefix)
+        runs = _merge_runs(period)
+        if runs[-1][1] + 1 == runs[0][0] + S:
+            if len(runs) == 1:
+                # No gap in the period: covered from its start on.
+                runs, S = [[runs[0][0], runs[0][0]]], 1
+            else:
+                # Start the period after a real gap: the first run
+                # joins the prefix, the last absorbs its next copy.
+                head = _merge_runs(head + [runs[0]])
+                runs = runs[1:-1] + [[runs[-1][0], runs[0][1] + S]]
+        R = len(runs)
+        for d in _divisors(R)[:-1]:
+            if (S * d) % R:
+                continue
+            step = S * d // R
+            if all(
+                runs[i + d][0] == runs[i][0] + step
+                and runs[i + d][1] == runs[i][1] + step
+                for i in range(R - d)
+            ):
+                runs, S = runs[:d], step
+                break
+        return cls(
+            prefix_firsts=tuple(f for f, _ in head),
+            prefix_lasts=tuple(l for _, l in head),
+            firsts=tuple(f for f, _ in runs),
+            lasts=tuple(l for _, l in runs),
+            period_seconds=S,
+        )
+
+    def first_at_or_after(self, second: int) -> int:
+        """The first covered instant >= ``second`` (O(log) bisection)."""
+        start = self.firsts[0]
+        if second < start:
+            slot = bisect_left(self.prefix_lasts, second)
+            if slot < len(self.prefix_lasts):
+                return max(second, self.prefix_firsts[slot])
+            return start
+        q, w = divmod(second - start, self.period_seconds)
+        w += start
+        shift = q * self.period_seconds
+        slot = bisect_left(self.lasts, w)
+        if slot < len(self.lasts):
+            return max(w, self.firsts[slot]) + shift
+        return start + shift + self.period_seconds
+
+    def from_instant(self, second: int) -> "CoverSet":
+        """The instants of this set that are >= ``second``."""
+        start, S = self.firsts[0], self.period_seconds
+        head = [
+            (max(first, second), last)
+            for first, last in zip(self.prefix_firsts, self.prefix_lasts)
+            if last >= second
+        ]
+        k = max(0, -(-(second - start) // S))
+        if k:
+            # Only the period holding ``second`` straddles it.
+            shift = (k - 1) * S
+            head += [
+                (max(first + shift, second), last + shift)
+                for first, last in zip(self.firsts, self.lasts)
+                if last + shift >= second
+            ]
+        return CoverSet(
+            prefix_firsts=tuple(first for first, _ in head),
+            prefix_lasts=tuple(last for _, last in head),
+            firsts=tuple(first + k * S for first in self.firsts),
+            lasts=tuple(last + k * S for last in self.lasts),
+            period_seconds=S,
+        )
+
+    def periodic_gaps(self) -> List[Tuple[int, int]]:
+        """The uncovered runs of the first period, wrap included."""
+        S = self.period_seconds
+        nexts = self.firsts[1:] + (self.firsts[0] + S,)
+        return [
+            (last + 1, first - 1)
+            for last, first in zip(self.lasts, nexts)
+            if first > last + 1
+        ]
+
+    def gaps(self, horizon: int):
+        """Uncovered runs ``(first, last)`` of instants >= 0 that start
+        before ``horizon``, in order."""
+        previous = -1
+        bounds = zip(
+            self.prefix_firsts + self.firsts[:1],
+            self.prefix_lasts + self.lasts[:1],
+        )
+        for first, last in bounds:
+            if previous + 1 >= horizon:
+                return
+            if first > previous + 1:
+                yield previous + 1, first - 1
+            previous = last
+        periodic = self.periodic_gaps()
+        shift = 0
+        while periodic:
+            for first, last in periodic:
+                if first + shift >= horizon:
+                    return
+                yield first + shift, last + shift
+            shift += self.period_seconds
+
+    def contains(self, other: "CoverSet", budget: int) -> Optional[bool]:
+        """Is every instant of ``other`` in this set?  None over budget.
+
+        Past ``T = max(start, other start)`` both sets repeat every
+        ``L = lcm(period, other period)``, so an instant of ``other``
+        outside this set exists iff one exists before ``T + L``: the
+        sweep visits this set's gaps that start before ``T + L`` and
+        stops at the first one holding an instant of ``other``.  None
+        (refuse) when that could take more than ``budget`` gaps.
+        """
+        S = self.period_seconds
+        horizon = max(self.firsts[0], other.firsts[0]) + _lcm(
+            S, other.period_seconds
+        )
+        periods = -(-(horizon - self.firsts[0]) // S)
+        sweep = len(self.prefix_firsts) + 1
+        sweep += periods * len(self.periodic_gaps())
+        if sweep > budget:
+            return None
+        for first, last in self.gaps(horizon):
+            if other.first_at_or_after(first) <= last:
+                return False
+        return True
+
+
 @dataclass(frozen=True)
 class PeriodicNormalForm:
     """One type's minimal periodic representation.
@@ -164,6 +358,11 @@ class PeriodicNormalForm:
     belongs to that tick (no interior gaps): only then may
     :meth:`tick_of_instant` replace the type's own ``tick_of``.  Size
     queries need bounds only and are valid either way.
+
+    :meth:`cover` is the set of instants the type covers, which decides
+    A.1 coverage: read off the tick bounds under ``exact_cover``, else
+    the ``cover_set`` a lowering rule inherited from an operand whose
+    ticks this form's ticks group (None when there is neither).
     """
 
     label: str
@@ -181,6 +380,9 @@ class PeriodicNormalForm:
     #: ``(period_ticks, prefix_ticks)`` before minimization when the
     #: minimization pass shrank the form, else None.
     minimized_from: Optional[Tuple[int, int]] = None
+    #: The covered instants of a form without ``exact_cover``, inherited
+    #: from an operand at lowering time (see :meth:`cover`).
+    cover_set: Optional[CoverSet] = None
     #: Covered instants per period (exact under ``exact_cover``, an
     #: upper bound otherwise - interior tick gaps are invisible to a
     #: boundary representation).
@@ -237,6 +439,20 @@ class PeriodicNormalForm:
             if gap_to > gap_from:
                 runs.append((gap_from - self.firsts[0], gap_to - gap_from))
         object.__setattr__(self, "gap_runs", tuple(runs))
+
+    def cover(self) -> Optional[CoverSet]:
+        """The instants this form covers, or None when unknown."""
+        if self.cover_set is not None or not self.exact_cover:
+            return self.cover_set
+        cached = self.__dict__.get("_cover_cache")
+        if cached is None:
+            cached = CoverSet.from_ticks(
+                list(zip(self.prefix_firsts, self.prefix_lasts)),
+                list(zip(self.firsts, self.lasts)),
+                self.period_seconds,
+            )
+            object.__setattr__(self, "_cover_cache", cached)
+        return cached
 
     # ------------------------------------------------------------------
     # Tick/instant conversion (O(log P) bisection)
@@ -504,7 +720,7 @@ def compile_normal_form(ttype: TemporalType) -> PeriodicNormalForm:
     compilation is recorded under a ``sizetable.compile`` span and
     counts into ``repro_sizetable_compiles_total``.
     """
-    from .algebra import lower_algebraic, minimize_form
+    from .algebra import inherited_cover, lower_algebraic, minimize_form
 
     with span("sizetable.compile", label=ttype.label) as compile_span:
         _COMPILES.inc()
@@ -519,6 +735,10 @@ def compile_normal_form(ttype: TemporalType) -> PeriodicNormalForm:
                 "lowering rule applies" % (ttype.label,)
             )
         form = minimize_form(form)
+        if not form.exact_cover and form.cover_set is None:
+            cover = inherited_cover(ttype, form)
+            if cover is not None:
+                form = replace(form, cover_set=cover)
         compile_span.set(
             source=form.source, rule=form.rule, period=form.period_ticks
         )

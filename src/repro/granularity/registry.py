@@ -17,7 +17,7 @@ from .business import BusinessDayType, BusinessMonthType, BusinessWeekType
 from .conversion import (
     ConversionOutcome,
     convert_interval,
-    covers_prefix,
+    covered_by,
     direct_convert_interval,
 )
 from .convcache import ConversionCache, global_conversion_cache, new_namespace
@@ -150,21 +150,37 @@ class GranularitySystem:
         ttype = self.resolve(ttype_or_label)
         tab = self._tables.get(ttype.label)
         if tab is None:
-            form = self._cache.get_normal_form(
-                self._cache_namespace, ttype.label
+            tab = build_size_table(
+                ttype, horizon=self.horizon, form=self._normal_form(ttype)
             )
-            if form is None:
-                form = cached_normal_form(ttype)
-                if form is not None:
-                    self._cache.put_normal_form(
-                        self._cache_namespace, ttype.label, form
-                    )
-            tab = build_size_table(ttype, horizon=self.horizon, form=form)
             self._tables[ttype.label] = tab
         return tab
 
+    def _normal_form(
+        self, ttype: TemporalType
+    ) -> Optional[PeriodicNormalForm]:
+        """A registered type's normal form, or None when it doesn't lower.
+
+        Fetched from the conversion cache when a warmed worker already
+        holds it, and cached there otherwise so the parallel engine can
+        export it.
+        """
+        form = self._cache.get_normal_form(self._cache_namespace, ttype.label)
+        if form is None:
+            form = cached_normal_form(ttype)
+            if form is not None:
+                self._cache.put_normal_form(
+                    self._cache_namespace, ttype.label, form
+                )
+        return form
+
     def conversion_feasible(self, source, target) -> bool:
-        """Cached A.1 feasibility: does ``target`` cover ``source``?"""
+        """Cached A.1 feasibility: does ``target`` cover ``source``?
+
+        Decided exactly on the types' normal forms (see
+        :func:`~repro.granularity.conversion.covered_by`), or refused
+        as False when a side has no cover set.
+        """
         src = self.resolve(source)
         tgt = self.resolve(target)
         if src.label == tgt.label:
@@ -172,7 +188,7 @@ class GranularitySystem:
         key = (src.label, tgt.label)
         result = self._covers.get(key)
         if result is None:
-            result = covers_prefix(tgt, src)
+            result = covered_by(src, tgt, self._normal_form)
             self._covers[key] = result
         return result
 
@@ -232,6 +248,7 @@ def _form_shape(form: PeriodicNormalForm) -> tuple:
         form.prefix_firsts,
         form.prefix_lasts,
         form.exact_cover,
+        form.cover_set,
     )
 
 

@@ -28,7 +28,7 @@ from repro.granularity.base import UniformType
 from repro.granularity.normalform import build_size_table, cached_normal_form
 from repro.granularity.periodic import PeriodicPatternType
 
-from ..oracles import sweep_route, sweep_system
+from ..oracles import share_coverage, sweep_route, sweep_system
 
 #: Two ways to reach the compiled table: constructed directly, and
 #: through the production route, which compiles every type that lowers.
@@ -184,6 +184,7 @@ class TestConversionsExactlyEqual:
         sweep_sys = sweep_system()
         sweep_sys.register(sweep_route(copy.copy(ttype)))
         fast_sys = compiled_system(backend, ttype)
+        share_coverage(sweep_sys, fast_sys)
         for source, target in (
             (ttype.label, "minute"),
             ("minute", ttype.label),
@@ -278,9 +279,11 @@ def test_standard_system_conversions_identical_across_backends():
     onto business days, ~2048 ticks) inside the sweep's exact region -
     beyond it the sweep *extrapolates* and the exact compiled values
     may legitimately produce tighter (still sound) intervals.
+    Coverage is decided on normal forms, which the sweep route lacks,
+    so both systems share the compiled side's decision.
     """
-    sweep_sys = sweep_system(horizon=2600)
     fast_sys = standard_system(cache=ConversionCache(), horizon=2600)
+    sweep_sys = share_coverage(sweep_system(horizon=2600), fast_sys)
     labels = sweep_sys.labels()
     for source in labels:
         for target in labels:

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 from repro.constraints import TCG
 from repro.granularity import standard_system
-from repro.granularity.conversion import covers_prefix
 from repro.granularity.gregorian import SECONDS_PER_DAY
+
+from ..oracles import brute_force_covered_by
 
 SYSTEM = standard_system()
 SYSTEM_F3 = standard_system(conversion_mode="figure3")
@@ -55,9 +56,14 @@ class TestFeasibility:
         # Every business day lies in a business week.
         assert SYSTEM.conversion_feasible("b-day", "b-week")
 
-    def test_covers_prefix_detects_weekend_gap(self):
-        assert not covers_prefix(SYSTEM.get("b-day"), SYSTEM.get("hour"))
-        assert covers_prefix(SYSTEM.get("week"), SYSTEM.get("b-day"))
+    def test_weekend_gap_decided_exactly(self):
+        hour, bday, week = (SYSTEM.get(g) for g in ("hour", "b-day", "week"))
+        assert not SYSTEM.conversion_feasible("hour", "b-day")
+        assert SYSTEM.conversion_feasible("b-day", "week")
+        # Both types repeat weekly from instant 0; one week decides.
+        cycles = ((0, 3600), (0, 7 * SECONDS_PER_DAY))
+        assert not brute_force_covered_by(hour, bday, cycles, stride=3600)
+        assert brute_force_covered_by(bday, week, cycles, stride=3600)
 
     @pytest.mark.parametrize("src,tgt", FEASIBLE_PAIRS)
     def test_declared_pairs_feasible(self, src, tgt):
@@ -171,9 +177,10 @@ class TestKnownConversions:
 
 class TestGuardsAndFallbacks:
     def test_refusal_when_target_scan_too_costly(self):
-        """A non-total 1-second-aligned target would need tens of
-        millions of probes: the coverage check refuses to certify
-        (sound: the conversion is simply not performed)."""
+        """A non-total 1-second-aligned target: its cover set is every
+        instant from 1 on, so the decision is exact, not a refusal -
+        instant 0 of day 0 is uncovered, and the conversion is simply
+        not performed."""
         from repro.granularity import UniformType
 
         system = standard_system()
@@ -197,3 +204,89 @@ class TestGuardsAndFallbacks:
         t1, t2 = 0, 600 * SECONDS_PER_DAY
         assert pair.is_satisfied(t1, t2)
         assert target.is_satisfied(t1, t2)
+
+
+class TestCoverageDecision:
+    """A.1 feasibility is decided exactly on normal forms."""
+
+    def test_holiday_after_old_probe_prefix_is_a_gap(self):
+        # Day 1001 (a Monday) lies past the ~463-day prefix the former
+        # probe scan looked at; it is still a gap of the target.
+        from repro.granularity import BusinessDayType
+
+        system = standard_system()
+        system.register(BusinessDayType(label="b-day-1001", holidays=(1001,)))
+        assert not system.conversion_feasible("b-day", "b-day-1001")
+        assert system.conversion_feasible("b-day-1001", "b-day")
+        week = 7 * SECONDS_PER_DAY
+        cycles = ((0, week), (144 * week, week))
+        assert not brute_force_covered_by(
+            system.get("b-day"),
+            system.get("b-day-1001"),
+            cycles,
+            SECONDS_PER_DAY,
+        )
+
+    def test_business_groupings_inherit_bday_cover(self):
+        from repro.granularity import BusinessDayType
+        from repro.granularity.normalform import cached_normal_form
+
+        system = standard_system(holidays=(3, 40, 1001))
+        system.register(BusinessDayType(label="plain-b-day"))
+        for label in ("b-week", "business-month"):
+            form = cached_normal_form(system.get(label))
+            assert not form.exact_cover
+            bday_form = cached_normal_form(system.get("b-day"))
+            assert form.cover() == bday_form.cover()
+            assert system.conversion_feasible(label, "b-day")
+            assert system.conversion_feasible(label, "plain-b-day")
+            assert not system.conversion_feasible("plain-b-day", label)
+
+    def test_refusal_counts_its_reason(self, obs_on):
+        from repro.granularity import FilteredType, day
+        from repro.obs import counter_deltas, metrics_snapshot
+
+        system = standard_system()
+        # No declared predicate period: the type does not lower, so it
+        # has no cover set and the decision refuses.
+        system.register(FilteredType(day(), lambda i: i % 7 == 0, "monday"))
+        before = metrics_snapshot()
+        assert not system.conversion_feasible("week", "monday")
+        deltas = counter_deltas(before, metrics_snapshot())
+        refused = (
+            'repro_covers_decisions_total{method="refused",result="false"}'
+        )
+        assert deltas[refused] == 1
+        reason = 'repro_covers_refusals_total{reason="no-cover-set"}'
+        assert deltas[reason] == 1
+
+    def test_over_budget_sweep_refuses(self, monkeypatch, obs_on):
+        from repro.granularity import PeriodicPatternType
+        from repro.obs import counter_deltas, metrics_snapshot
+
+        # b-day has one gap a week; against an 11-day cycle the sweep
+        # spans 11 weeks, over a 5-gap budget.
+        monkeypatch.setenv("REPRO_NF_MAX_PERIOD", "5")
+        system = standard_system()
+        day_s = SECONDS_PER_DAY
+        system.register(
+            PeriodicPatternType("odd-cycle", 11 * day_s, [(0, day_s)])
+        )
+        before = metrics_snapshot()
+        assert not system.conversion_feasible("odd-cycle", "b-day")
+        deltas = counter_deltas(before, metrics_snapshot())
+        reason = 'repro_covers_refusals_total{reason="over-budget"}'
+        assert deltas[reason] == 1
+
+    def test_span_records_the_method(self, obs_on):
+        from repro.obs import Tracer, activate_tracer
+
+        system = standard_system()
+        with activate_tracer(Tracer()) as tracer:
+            system.conversion_feasible("b-day", "hour")
+            system.conversion_feasible("hour", "b-day")
+        covers = [s for s in tracer.roots if s.name == "granularity.covers"]
+        decided = [
+            (s.attributes["method"], s.attributes["result"]) for s in covers
+        ]
+        assert decided == [("total", True), ("form", False)]

@@ -334,3 +334,59 @@ class TestConvcacheForms:
         system = sweep_system()
         system.table("b-day")
         assert system.conversion_cache.stats()["normal_forms"] == 0
+
+
+class TestCoverSet:
+    """The covered-instant sets coverage is decided on."""
+
+    def test_touching_ticks_merge_and_full_cover_has_period_one(self):
+        form = compile_normal_form(
+            PeriodicPatternType("halves", 20, [(0, 10), (10, 10)], phase=5)
+        )
+        cover = form.cover()
+        assert (cover.firsts, cover.lasts, cover.period_seconds) == (
+            (5,),
+            (5,),
+            1,
+        )
+        assert list(cover.gaps(100)) == [(0, 4)]
+
+    def test_wrapping_run_rotates_the_period(self):
+        # Ticks [0, 3] and [8, 9] of a 10 s cycle: [8, 13] is one run.
+        cover = compile_normal_form(
+            PeriodicPatternType("wrap", 10, [(0, 4), (8, 2)])
+        ).cover()
+        assert cover.prefix_firsts == (0,) and cover.prefix_lasts == (3,)
+        assert (cover.firsts, cover.lasts) == ((8,), (13,))
+        assert list(cover.gaps(30)) == [(4, 7), (14, 17), (24, 27)]
+
+    def test_period_reduces_to_the_smallest_divisor(self):
+        # Two different ticks per 20 s, but the instant set repeats
+        # every 10 s: [0, 3] + [10, 12] and [13, 13] touch.
+        cover = compile_normal_form(
+            PeriodicPatternType("fold", 20, [(0, 4), (10, 3), (13, 1)])
+        ).cover()
+        assert cover.period_seconds == 10
+        assert (cover.firsts, cover.lasts) == ((0,), (3,))
+
+    def test_first_at_or_after_and_from_instant(self):
+        cover = compile_normal_form(
+            PeriodicPatternType("p", 10, [(2, 3)], phase=1)
+        ).cover()
+        assert [cover.first_at_or_after(t) for t in (0, 3, 6, 13)] == [
+            3,
+            3,
+            13,
+            13,
+        ]
+        later = cover.from_instant(14)
+        assert later.prefix_firsts == (14,) and later.prefix_lasts == (15,)
+        assert later.first_at_or_after(0) == 14
+        assert later.first_at_or_after(16) == 23
+
+    def test_bounds_only_form_has_no_cover(self):
+        form = PeriodicNormalForm(
+            label="hand", period_ticks=1, period_seconds=10,
+            firsts=(0,), lasts=(5,),
+        )
+        assert form.cover() is None

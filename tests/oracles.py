@@ -10,8 +10,13 @@ fast routes do not take:
 * :class:`ObjectSequence` is an event sequence without a columnar
   view, so matchers over it take the per-event object path;
 * :func:`reference_scan` is mining step 5 one candidate at a time on
-  the object path, a drop-in for the banked frontier scan.
+  the object path, a drop-in for the banked frontier scan;
+* :func:`brute_force_covered_by` decides A.1 coverage by probing the
+  types' own ``tick_of`` over one full common cycle, the oracle of the
+  exact decision on normal forms.
 """
+
+from math import gcd
 
 from repro.automata import TagMatcher, build_tag
 from repro.constraints import ComplexEventType
@@ -34,6 +39,48 @@ def sweep_system(**kwargs):
     for label in system.labels():
         sweep_route(system.get(label))
     return system
+
+
+def share_coverage(system, twin):
+    """Decide ``system``'s A.1 coverage on ``twin``, by label.
+
+    Coverage is decided on normal forms, so a system whose types are
+    on the sweep route would refuse it for every gapped target.  Suites
+    comparing conversion arithmetic across routes pin that precondition
+    to the lowering twin's exact decision (itself checked against
+    :func:`brute_force_covered_by`); returns ``system``.
+    """
+
+    def feasible(source, target):
+        return twin.conversion_feasible(
+            system.resolve(source).label, system.resolve(target).label
+        )
+
+    system.conversion_feasible = feasible
+    return system
+
+
+def brute_force_covered_by(source, target, cycles, stride=1):
+    """Does ``target`` cover every instant ``source`` covers?
+
+    ``cycles`` holds one ``(periodic_start, period_seconds)`` pair per
+    type describing its covered instants, known from how the type was
+    built (never read off a normal form).  Past the later start both
+    sets repeat every lcm of the periods, so probing every ``stride``-th
+    instant of ``[0, later start + lcm)`` through the types' own
+    ``tick_of`` decides containment; ``stride`` must divide every tick
+    boundary of both types.
+    """
+    starts = [start for start, _ in cycles]
+    lcm = 1
+    for _, period in cycles:
+        lcm = lcm * period // gcd(lcm, period)
+    for second in range(0, max(starts) + lcm, stride):
+        if source.tick_of(second) is None:
+            continue
+        if target.tick_of(second) is None:
+            return False
+    return True
 
 
 class ObjectSequence(EventSequence):
