@@ -374,9 +374,16 @@ class StreamingMatcher:
 
     @classmethod
     def from_checkpoint(
-        cls, payload: Dict[str, Any], system=None
+        cls, payload: Dict[str, Any], system=None, build=None
     ) -> "StreamingMatcher":
-        """Rebuild a matcher from :meth:`checkpoint` output."""
+        """Rebuild a matcher from :meth:`checkpoint` output.
+
+        ``build`` reuses an already compiled TAG for the payload's
+        pattern instead of rebuilding it (see
+        :func:`~repro.io.serialize.streaming_matcher_from_checkpoint`).
+        """
         from ..io.serialize import streaming_matcher_from_checkpoint
 
-        return streaming_matcher_from_checkpoint(payload, system=system)
+        return streaming_matcher_from_checkpoint(
+            payload, system=system, build=build
+        )

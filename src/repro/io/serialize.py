@@ -404,12 +404,23 @@ def streaming_checkpoint_to_dict(matcher) -> Dict[str, Any]:
 def streaming_matcher_from_checkpoint(
     payload: Mapping[str, Any],
     system: Optional[GranularitySystem] = None,
+    build=None,
 ):
     """Rebuild a matcher from :func:`streaming_checkpoint_to_dict`.
 
     ``system`` defaults to :func:`repro.granularity.standard_system`;
     pass the original system when the pattern uses custom
-    granularities registered there.
+    granularities registered there.  The pattern is decoded against
+    it and its TAG built with ``build_tag(cet, system=system)``, so
+    the clocks share the system's registered type instances.
+
+    ``build`` is an already compiled
+    :class:`~repro.automata.builder.TagBuild` for the payload's
+    pattern; when given, the pattern is neither decoded nor rebuilt
+    and the matcher runs on that (immutable, shareable) TAG.  The
+    caller vouches that it compiles the same pattern - the service
+    registry passes its own build only when the payload's
+    ``pattern`` equals the build's encoding.
     """
     from ..automata.builder import build_tag
     from ..automata.streaming import StreamingMatcher, _Anchor
@@ -422,12 +433,14 @@ def streaming_matcher_from_checkpoint(
             "unsupported checkpoint version %r (expected %d)"
             % (version, CHECKPOINT_VERSION)
         )
-    system = system if system is not None else standard_system()
     try:
-        cet = complex_event_type_from_dict(payload["pattern"], system)
+        if build is None:
+            system = system if system is not None else standard_system()
+            cet = complex_event_type_from_dict(payload["pattern"], system)
+            build = build_tag(cet, system=system)
         horizon = payload.get("horizon_seconds")
         matcher = StreamingMatcher(
-            build_tag(cet),
+            build,
             strict=bool(payload.get("strict", False)),
             horizon_seconds=int(horizon) if horizon is not None else None,
             max_live_anchors=int(payload.get("max_live_anchors", 10_000)),

@@ -18,7 +18,10 @@ crashed worker.  Both properties come from the same store:
   with ``seq`` greater than the checkpoint's".  :meth:`save`
   truncates the WAL through the checkpointed sequence number.  A torn
   final WAL line (the classic mid-write crash artefact) is skipped,
-  not fatal.
+  not fatal.  The store remembers the ``seq`` of every generation it
+  wrote itself, so a save never re-parses its own checkpoints to find
+  that floor; only generations found on disk (a reopened directory)
+  are parsed.
 
 Two implementations share the contract: :class:`DirectoryCheckpointStore`
 persists under a root directory (one subdirectory per session, named
@@ -91,6 +94,9 @@ class CheckpointStoreBase:
         if keep_generations < 1:
             raise ValueError("keep_generations must be >= 1")
         self.keep_generations = keep_generations
+        #: ``seq`` of each generation this store wrote and still
+        #: retains, per session.
+        self._written: Dict[Tuple[str, str], Dict[int, int]] = {}
 
     # -- subclass I/O primitives ---------------------------------------
     def _generations(self, tenant: str, key: str) -> List[int]:
@@ -124,7 +130,15 @@ class CheckpointStoreBase:
 
     # -- the contract ---------------------------------------------------
     def _generation_seq(self, tenant: str, key: str, gen: int):
-        """The ``seq`` a generation covers, or None if unreadable."""
+        """The ``seq`` a generation covers, or None if unreadable.
+
+        A generation this store wrote reports the ``seq`` it was
+        written with, even if it was corrupted since: counting it can
+        only lower the WAL floor, keeping more WAL, never less.
+        """
+        seq = self._written.get((tenant, key), {}).get(gen)
+        if seq is not None:
+            return seq
         try:
             return int(
                 _validate_payload(
@@ -155,10 +169,13 @@ class CheckpointStoreBase:
             tenant, key, gen,
             session_payload(tenant, key, seq, matcher_checkpoint),
         )
+        written = self._written.setdefault((tenant, key), {})
+        written[gen] = seq
         _CHECKPOINTS_WRITTEN.inc()
         for old in generations[: max(0, len(generations) + 1
                                      - self.keep_generations)]:
             self._drop_generation(tenant, key, old)
+            written.pop(old, None)
         covered = [
             cover for cover in (
                 self._generation_seq(tenant, key, g)
@@ -224,6 +241,7 @@ class CheckpointStoreBase:
         """Forget a session entirely (clean close)."""
         for gen in self._generations(tenant, key):
             self._drop_generation(tenant, key, gen)
+        self._written.pop((tenant, key), None)
         self._write_wal(tenant, key, [])
 
     def sessions(self) -> List[Tuple[str, str]]:

@@ -12,8 +12,16 @@ detections those events completed, tagged with their sequence numbers,
 giving at-least-once delivery across evictions and crashes; consumers
 that need exactly-once dedupe on ``(tenant, key, seq)``.
 
-Recency is a logical use counter, not wall time, so eviction order is
-deterministic and the differential suite can force churn by setting
+Every session compiles the same pattern, so when the registry knows
+the service's :class:`~repro.automata.builder.TagBuild`, a checkpoint
+whose ``pattern`` equals that build's encoding is restored onto the
+shared build: rehydration then costs a checkpoint load and a WAL
+replay, never a TAG compile.  A checkpoint carrying any other pattern
+is decoded and rebuilt against the registry's granularity system.
+
+Recency is the order of the resident map itself (a hit moves its
+session to the end), not wall time, so eviction order is deterministic
+and O(1), and the differential suite can force churn by setting
 ``max_resident=1``.
 """
 
@@ -21,6 +29,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..automata.builder import TagBuild
 from ..automata.streaming import Detection, StreamingMatcher
 from ..obs import TraceContext, counter, gauge, linked_span
 from .checkpoints import CheckpointStoreBase
@@ -52,9 +61,7 @@ _SESSIONS_EVICTED = gauge(
 class Session:
     """One resident ``(tenant, key)`` detection session."""
 
-    __slots__ = (
-        "tenant", "key", "matcher", "seq", "checkpointed_seq", "last_use",
-    )
+    __slots__ = ("tenant", "key", "matcher", "seq", "checkpointed_seq")
 
     def __init__(self, tenant: str, key: str, matcher: StreamingMatcher):
         self.tenant = tenant
@@ -64,7 +71,6 @@ class Session:
         self.seq = 0
         #: Sequence the last durable checkpoint reflects.
         self.checkpointed_seq = 0
-        self.last_use = 0
 
 
 class SessionRegistry:
@@ -72,7 +78,8 @@ class SessionRegistry:
 
     ``matcher_factory`` builds a fresh matcher for a session with no
     durable state; rehydration needs no factory because checkpoints
-    carry the pattern.
+    carry the pattern.  ``build`` is the compiled TAG the factory's
+    matchers run; checkpoints of that pattern rehydrate onto it.
     """
 
     def __init__(
@@ -84,6 +91,7 @@ class SessionRegistry:
         context_for: Optional[
             Callable[[str], Optional[TraceContext]]
         ] = None,
+        build: Optional[TagBuild] = None,
     ):
         if max_resident < 1:
             raise ValueError("max_resident must be >= 1")
@@ -96,9 +104,14 @@ class SessionRegistry:
         #: nesting.
         self.context_for = context_for
         self.system = system
+        self.build = build
+        #: ``build``'s pattern as checkpoints encode it, on first use.
+        self._pattern: Optional[Dict] = None
+        #: Resident sessions, least recently used first.
         self._resident: Dict[Tuple[str, str], Session] = {}
-        self._evicted_keys: set = set()
-        self._use_counter = 0
+        #: Spilled sessions, mapped to whether their matcher held
+        #: reorder-buffered events when evicted.
+        self._evicted: Dict[Tuple[str, str], bool] = {}
         self.evictions = 0
         self.rehydrations = 0
 
@@ -112,20 +125,16 @@ class SessionRegistry:
         replay (``(seq, ordinal, detection)`` triples) - non-empty only
         when the durable state was behind the WAL, i.e. after a crash.
         """
-        self._use_counter += 1
-        session = self._resident.get((tenant, key))
+        session = self._resident.pop((tenant, key), None)
         replayed: List[Tuple[int, int, Detection]] = []
         if session is None:
             if self.store.has(tenant, key):
                 session, replayed = self._rehydrate(tenant, key)
             else:
                 session = Session(tenant, key, self.matcher_factory())
-            self._resident[(tenant, key)] = session
-            self._evicted_keys.discard((tenant, key))
-            session.last_use = self._use_counter
-            self._enforce_residency(keep=(tenant, key))
-        else:
-            session.last_use = self._use_counter
+            self._evicted.pop((tenant, key), None)
+        self._resident[(tenant, key)] = session  # now the most recent
+        self._enforce_residency()
         self._export_gauges()
         return session, replayed
 
@@ -141,10 +150,12 @@ class SessionRegistry:
                 # WAL with no checkpoint yet: replay from a fresh matcher.
                 session = Session(tenant, key, self.matcher_factory())
             else:
+                state = payload["matcher"]
                 session = Session(
                     tenant, key,
                     StreamingMatcher.from_checkpoint(
-                        payload["matcher"], system=self.system
+                        state, system=self.system,
+                        build=self._shared_build(state),
                     ),
                 )
                 session.seq = int(payload["seq"])
@@ -170,20 +181,32 @@ class SessionRegistry:
             _REHYDRATIONS.inc()
             return session, replayed
 
-    # ------------------------------------------------------------------
-    def _enforce_residency(self, keep: Tuple[str, str]) -> None:
-        while len(self._resident) > self.max_resident:
-            victim_key = min(
-                (k for k in self._resident if k != keep),
-                key=lambda k: self._resident[k].last_use,
+    def _shared_build(self, state: Dict) -> Optional[TagBuild]:
+        """``build`` when the checkpoint ``state`` is of its pattern."""
+        if self.build is None:
+            return None
+        if self._pattern is None:
+            # Imported on first use: a service that never rehydrates
+            # (or has not yet checkpointed) need not load the codec.
+            from ..io.serialize import complex_event_type_to_dict
+
+            self._pattern = complex_event_type_to_dict(
+                self.build.complex_event_type
             )
-            self.evict(*victim_key)
+        return self.build if state.get("pattern") == self._pattern else None
+
+    # ------------------------------------------------------------------
+    def _enforce_residency(self) -> None:
+        # The session just acquired is the newest, and at least two
+        # are resident here, so the oldest is never it.
+        while len(self._resident) > self.max_resident:
+            self.evict(*next(iter(self._resident)))
 
     def evict(self, tenant: str, key: str) -> None:
         """Checkpoint one resident session and drop its matcher."""
         session = self._resident.pop((tenant, key))
         self.checkpoint(session)
-        self._evicted_keys.add((tenant, key))
+        self._evicted[(tenant, key)] = session.matcher.pending_reordered > 0
         self.evictions += 1
         _EVICTIONS.inc()
         self._export_gauges()
@@ -210,16 +233,23 @@ class SessionRegistry:
     # ------------------------------------------------------------------
     def resident_sessions(self) -> List[Session]:
         """Resident sessions, most recently used first."""
-        return sorted(
-            self._resident.values(),
-            key=lambda s: s.last_use,
-            reverse=True,
-        )
+        return list(reversed(self._resident.values()))
 
-    def session_keys(self) -> List[Tuple[str, str]]:
-        """Every session this registry has ever held, resident or
-        spilled, as sorted ``(tenant, key)`` pairs."""
-        return sorted(set(self._resident) | self._evicted_keys)
+    def flush_keys(self) -> List[Tuple[str, str]]:
+        """The sessions an end-of-stream flush must visit, as
+        ``(tenant, key)`` pairs: every resident session, then the
+        spilled ones whose reorder buffer held events when evicted
+        (each group sorted).
+
+        Resident sessions come first so that rehydrating a spilled one
+        only ever evicts a session already flushed.  A session spilled
+        with an empty buffer has nothing to flush (its eviction
+        checkpoint also left no WAL suffix to replay), so rehydrating
+        it would only cost a load and an eviction.
+        """
+        return sorted(self._resident) + sorted(
+            k for k, buffered in self._evicted.items() if buffered
+        )
 
     def resident_for_tenant(self, tenant: str) -> List[Session]:
         return [
@@ -232,12 +262,12 @@ class SessionRegistry:
 
     def _export_gauges(self) -> None:
         _SESSIONS_RESIDENT.set(len(self._resident))
-        _SESSIONS_EVICTED.set(len(self._evicted_keys))
+        _SESSIONS_EVICTED.set(len(self._evicted))
 
     def stats(self) -> Dict[str, int]:
         return {
             "resident": len(self._resident),
-            "evicted": len(self._evicted_keys),
+            "evicted": len(self._evicted),
             "evictions": self.evictions,
             "rehydrations": self.rehydrations,
         }

@@ -71,7 +71,13 @@ from ..obs import (
 )
 from ..resilience import Quarantine, apply_overflow, validate_event
 from ..resilience.policies import normalize_overflow_policy
-from .breaker import BREAKER_STATES, OPEN, CircuitBreaker
+from .breaker import (
+    BREAKER_STATES,
+    CLOSED,
+    HALF_OPEN,
+    OPEN,
+    CircuitBreaker,
+)
 from .checkpoints import CheckpointStoreBase, open_store
 from .errors import (
     ServiceClosedError,
@@ -295,10 +301,17 @@ class DetectionService:
             max_resident=config.max_resident_sessions,
             system=system,
             context_for=self._tenant_context,
+            build=build,
         )
         self.quarantine = Quarantine(source="service")
         self.detections: List[ServiceDetection] = []
         self._tenants: Dict[str, _TenantState] = {}
+        #: Events in all tenant queues, kept in step with every queue
+        #: change so the depth gauge never sums the queues.
+        self._queued = 0
+        #: Tenants whose breaker may not be closed: a tenant joins on a
+        #: trip and leaves when a gauge export finds it closed again.
+        self._unhealthy: set = set()
         self._tenant_counters = _TenantCounters(
             tenant_label_limit() if config.tenant_labels is None
             else config.tenant_labels
@@ -397,12 +410,14 @@ class DetectionService:
             items = list(state.pending)
             items.append((key, etype, time))
             kept, shed = apply_overflow(items, capacity, self.shed_policy)
+            self._queued += len(kept) - len(state.pending)
             state.pending = deque(kept)
             state.shed += shed
             _SHED.add(shed)
             self._tenant_counters.record(tenant, shed=shed)
         else:
             state.pending.append((key, etype, time))
+            self._queued += 1
         self._ensure_worker(state, tenant)
         state.wake.set()
         self._export_gauges()
@@ -435,6 +450,7 @@ class DetectionService:
                 if not state.breaker.allow():
                     break  # parked until cooldown admits probes
                 key, etype, time = state.pending.popleft()
+                self._queued -= 1
                 self._process(tenant, state, key, etype, time)
         self._export_gauges()
 
@@ -498,6 +514,7 @@ class DetectionService:
         trips_before = state.breaker.trips
         state.breaker.record_failure()
         if state.breaker.trips > trips_before:
+            self._unhealthy.add(tenant)
             self._on_breaker_trip(tenant, state)
 
     def _on_breaker_trip(self, tenant: str, state: _TenantState) -> None:
@@ -549,12 +566,14 @@ class DetectionService:
         """Drain, then flush every session's reorder buffer (end of
         stream) - only meaningful with ``max_lateness`` configured.
 
-        Spilled sessions are rehydrated to flush too: their buffered
-        events are part of the stream, and eviction must not change
-        what gets detected.
+        Every resident session is flushed first.  A spilled session is
+        then rehydrated to flush only when its reorder buffer held
+        events at eviction: those events are part of the stream, and
+        eviction must not change what gets detected.  One spilled with
+        an empty buffer has nothing to flush and stays spilled.
         """
         await self.drain()
-        for tenant, key in self.registry.session_keys():
+        for tenant, key in self.registry.flush_keys():
             session, replayed = self.registry.acquire(tenant, key)
             self.detections.extend(
                 ServiceDetection(
@@ -618,12 +637,22 @@ class DetectionService:
     # Introspection
     # ------------------------------------------------------------------
     def _export_gauges(self) -> None:
-        _QUEUE_DEPTH.set(
-            sum(len(state.pending) for state in self._tenants.values())
-        )
-        counts = {state: 0 for state in BREAKER_STATES}
-        for state in self._tenants.values():
-            counts[state.breaker.state] += 1
+        """Publish queue depth and breaker-state counts.
+
+        O(1) per call while every breaker is closed: the depth is the
+        running count, and only tenants that tripped since their
+        breaker last closed are read (reading ``state`` is also what
+        moves an open breaker to half-open after its cooldown).
+        """
+        _QUEUE_DEPTH.set(self._queued)
+        counts = {OPEN: 0, HALF_OPEN: 0}
+        for tenant in list(self._unhealthy):
+            current = self._tenants[tenant].breaker.state
+            if current == CLOSED:
+                self._unhealthy.discard(tenant)
+            else:
+                counts[current] += 1
+        counts[CLOSED] = len(self._tenants) - sum(counts.values())
         for name, value in counts.items():
             _BREAKER_GAUGES[name].set(value)
 

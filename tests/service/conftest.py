@@ -12,6 +12,7 @@ import pytest
 from repro.automata.builder import build_tag
 from repro.constraints import TCG, ComplexEventType, EventStructure
 from repro.granularity.gregorian import SECONDS_PER_HOUR
+from repro.obs import configure, obs_enabled
 
 H = SECONDS_PER_HOUR
 
@@ -29,6 +30,15 @@ def chain_build(system):
     )
     cet = ComplexEventType(structure, {"A": "a", "B": "b", "C": "c"})
     return build_tag(cet, system=system)
+
+
+@pytest.fixture
+def obs_on():
+    """Metrics recording on for the test, whatever ``REPRO_OBS`` says."""
+    previous = obs_enabled()
+    configure(True)
+    yield
+    configure(previous)
 
 
 @pytest.fixture

@@ -92,6 +92,86 @@ class TestWal:
         assert store.wal_suffix("t", "k", 3) == []
 
 
+def count_reads(store, monkeypatch):
+    """Count ``_read_generation`` calls on one store."""
+    calls = []
+    read = store._read_generation
+
+    def counting(tenant, key, gen):
+        calls.append(gen)
+        return read(tenant, key, gen)
+
+    monkeypatch.setattr(store, "_read_generation", counting)
+    return calls
+
+
+class TestSeqBookkeeping:
+    def test_saves_never_parse_their_own_generations(self, monkeypatch):
+        store = MemoryCheckpointStore(keep_generations=3)
+        calls = count_reads(store, monkeypatch)
+        for seq in range(1, 41):
+            store.append_wal("t", "k", seq, "a", seq * 100)
+            if seq % 4 == 0:
+                store.save("t", "k", seq, MATCHER)
+        assert calls == []
+        # Three generations retained (seq 32, 36, 40): WAL after 32.
+        assert [e[0] for e in store.wal_suffix("t", "k", 0)] == [
+            33, 34, 35, 36, 37, 38, 39, 40,
+        ]
+
+    def test_corrupted_generation_keeps_a_superset_of_the_wal(
+        self, store
+    ):
+        for seq in range(1, 7):
+            store.append_wal("t", "k", seq, "a", seq * 100)
+            if seq % 3 == 0:
+                store.save("t", "k", seq, MATCHER)
+        corrupt_latest(store, "t", "k")  # the seq-6 generation
+        for seq in range(7, 10):
+            store.append_wal("t", "k", seq, "b", seq * 100)
+        before = store.wal_suffix("t", "k", 0)
+        store.save("t", "k", 9, MATCHER)
+        kept = store.wal_suffix("t", "k", 0)
+        # The parse-based rule: the floor is the lowest seq among the
+        # generations that still parse (only seq 9 here).
+        readable = []
+        for gen in store._generations("t", "k"):
+            try:
+                readable.append(store._read_generation("t", "k", gen)["seq"])
+            except ValueError:
+                pass
+        assert readable == [9]
+        parsed_rule = [e for e in before if e[0] > min(readable)]
+        assert set(parsed_rule) <= set(kept)
+        # The corrupted seq-6 generation still counts toward the
+        # floor, so the gap from it to the present stays replayable.
+        assert [e[0] for e in kept] == [7, 8, 9]
+
+    def test_reopened_directory_store_parses_generations(
+        self, tmp_path, monkeypatch
+    ):
+        root = str(tmp_path / "ckpt")
+        first = DirectoryCheckpointStore(root)
+        for seq in range(1, 4):
+            first.append_wal("t", "k", seq, "a", seq * 100)
+        first.save("t", "k", 3, MATCHER)
+        for seq in range(4, 7):
+            first.append_wal("t", "k", seq, "b", seq * 100)
+
+        reopened = DirectoryCheckpointStore(root)
+        calls = count_reads(reopened, monkeypatch)
+        (gen,) = reopened._generations("t", "k")
+        assert reopened._generation_seq("t", "k", gen) == 3
+        assert calls == [gen]
+        reopened.save("t", "k", 6, MATCHER)
+        # The inherited seq-3 generation is parsed again for the
+        # floor; the one this store wrote is not.
+        assert calls == [gen, gen]
+        assert [e[0] for e in reopened.wal_suffix("t", "k", 0)] == [
+            4, 5, 6,
+        ]
+
+
 class TestCorruption:
     def test_fallback_to_previous_generation(self, store):
         store.save("t", "k", 3, MATCHER)

@@ -4,28 +4,16 @@ and trace-context routing."""
 import os
 import uuid
 
-import pytest
-
 from repro.obs import (
     Tracer,
     activate_tracer,
-    configure,
     global_metrics,
     global_recorder,
     load_flight_dump,
-    obs_enabled,
     span,
 )
 from repro.service import DetectionService, ServiceConfig, serve_events
 from repro.service.service import _TenantCounters
-
-
-@pytest.fixture
-def obs_on():
-    previous = obs_enabled()
-    configure(True)
-    yield
-    configure(previous)
 
 
 def _tenant(prefix):

@@ -2,7 +2,10 @@
 
 import pytest
 
-from repro.automata import StreamingMatcher
+from repro.automata import StreamingMatcher, builder
+from repro.constraints import TCG, ComplexEventType, EventStructure
+from repro.io.serialize import streaming_matcher_from_checkpoint
+from repro.obs import counter
 from repro.service import MemoryCheckpointStore, SessionRegistry
 
 H = 3600
@@ -58,6 +61,14 @@ class TestResidency:
         assert len(detections) == 1
         assert detections[0].anchor_time == 0
         assert registry.rehydrations == 1
+
+    def test_hits_refresh_recency(self, registry):
+        registry.acquire("t", "k1")
+        registry.acquire("t", "k2")
+        registry.acquire("t", "k1")
+        assert [s.key for s in registry.resident_sessions()] == ["k1", "k2"]
+        registry.acquire("t", "k3")  # evicts k2, the oldest
+        assert [s.key for s in registry.resident_sessions()] == ["k3", "k1"]
 
     def test_acquire_same_session_is_stable(self, registry):
         first, _ = registry.acquire("t", "k")
@@ -132,3 +143,86 @@ class TestStats:
         assert stats["resident"] == 2
         assert stats["evicted"] == 1
         assert stats["evictions"] == 1
+
+
+
+def other_build(system):
+    """A pattern the registry's build does not compile: x -> y."""
+    structure = EventStructure(
+        ["X", "Y"], {("X", "Y"): [TCG(0, 3, system.get("hour"))]}
+    )
+    return builder.build_tag(
+        ComplexEventType(structure, {"X": "x", "Y": "y"}), system=system
+    )
+
+
+class TestSharedBuild:
+    def shared_registry(self, chain_build, system):
+        return SessionRegistry(
+            MemoryCheckpointStore(),
+            lambda: StreamingMatcher(chain_build),
+            max_resident=1,
+            system=system,
+            build=chain_build,
+        )
+
+    def test_rehydration_runs_on_the_registry_build(
+        self, chain_build, system, obs_on
+    ):
+        registry = self.shared_registry(chain_build, system)
+        builds = counter("repro_tag_builds_total")
+        before = builds.value()
+        feed(registry, "t", "k1", EVENTS[:2])
+        registry.acquire("t", "k2")  # evicts k1
+        detections = feed(registry, "t", "k1", EVENTS[2:])
+        assert registry.rehydrations == 1
+        assert builds.value() == before
+        session, _ = registry.acquire("t", "k1")
+        assert session.matcher.build is chain_build
+        assert len(detections) == 1
+
+    def test_other_pattern_is_rebuilt_and_detects_identically(
+        self, chain_build, system, obs_on
+    ):
+        other = other_build(system)
+        events = [("x", 0), ("y", 2 * H)]
+        direct = StreamingMatcher(other)
+        expected = [d for e, t in events for d in direct.feed(e, t)]
+        assert expected
+
+        registry = self.shared_registry(chain_build, system)
+        half = StreamingMatcher(other)
+        half.feed(*events[0])
+        registry.store.save("t", "k", 1, half.checkpoint())
+        builds = counter("repro_tag_builds_total")
+        before = builds.value()
+        session, _ = registry.acquire("t", "k")
+        assert builds.value() == before + 1
+        assert session.matcher.build is not chain_build
+        assert (
+            session.matcher.build.complex_event_type.assignment
+            == other.complex_event_type.assignment
+        )
+        got = session.matcher.feed(*events[1])
+        assert [
+            (d.anchor_time, d.detected_at, d.bindings) for d in got
+        ] == [
+            (d.anchor_time, d.detected_at, d.bindings) for d in expected
+        ]
+
+    def test_rebuild_resolves_clocks_through_the_system(
+        self, chain_build, system, monkeypatch
+    ):
+        seen = []
+        build_tag = builder.build_tag
+
+        def recording(cet, system=None):
+            seen.append(system)
+            return build_tag(cet, system=system)
+
+        monkeypatch.setattr(builder, "build_tag", recording)
+        payload = StreamingMatcher(chain_build).checkpoint()
+        restored = streaming_matcher_from_checkpoint(payload, system)
+        assert seen == [system]
+        for clock in restored.build.tag.clocks.values():
+            assert clock.granularity is system.get(clock.granularity.label)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.automata import StreamingMatcher
+from repro.obs import counter
 from repro.service import (
     DetectionService,
     ServiceClosedError,
@@ -349,3 +350,99 @@ class TestLifecycle:
             DetectionService(
                 chain_build, config(shed_policy="bogus")
             )
+
+
+TENANTS = ("t0", "t1", "t2")
+
+
+def round_robin(streams):
+    """Interleave per-tenant streams one event at a time."""
+    length = max(len(stream) for stream in streams.values())
+    return [
+        (tenant, "k") + stream[index]
+        for index in range(length)
+        for tenant, stream in streams.items()
+        if index < len(stream)
+    ]
+
+
+class TestChurn:
+    """Forced eviction churn (one resident session) against
+    standalone matchers, with and without reorder buffers."""
+
+    def churn(self, build, system, run, events, max_lateness):
+        async def go():
+            service = DetectionService(
+                build,
+                config(max_resident_sessions=1, max_lateness=max_lateness),
+                system=system,
+            )
+            for event in events:
+                await service.submit(*event)
+            await service.drain()
+            to_flush = service.registry.flush_keys()
+            before = service.registry.rehydrations
+            await service.flush()
+            flushed = service.registry.rehydrations - before
+            await service.close()
+            return service, to_flush, flushed
+
+        return run(go())
+
+    def direct(self, build, stream, max_lateness):
+        matcher = StreamingMatcher(build, max_lateness=max_lateness)
+        found = [d for e, t in stream for d in matcher.feed(e, t)]
+        return found + matcher.flush()
+
+    def test_churn_builds_no_tag_after_construction(
+        self, chain_build, system, run, obs_on
+    ):
+        streams = {tenant: CHAIN for tenant in TENANTS}
+        builds = counter("repro_tag_builds_total")
+        before = builds.value()
+        service, _, _ = self.churn(
+            chain_build, system, run, round_robin(streams), None
+        )
+        assert service.registry.rehydrations > 0
+        assert builds.value() == before
+
+    def test_flush_skips_spilled_sessions_with_nothing_buffered(
+        self, chain_build, system, run
+    ):
+        streams = {tenant: CHAIN for tenant in TENANTS}
+        service, to_flush, flushed = self.churn(
+            chain_build, system, run, round_robin(streams), None
+        )
+        assert to_flush == [("t2", "k")]  # the one resident session
+        assert flushed == 0
+        for tenant, stream in streams.items():
+            got = [
+                sd.detection for sd in service.detections
+                if sd.tenant == tenant
+            ]
+            assert as_json(got) == as_json(
+                self.direct(chain_build, stream, None)
+            )
+
+    def test_flush_rehydrates_spilled_sessions_with_buffered_events(
+        self, chain_build, system, run
+    ):
+        lateness = 2 * H
+        out_of_order = [("a", 0), ("c", 2 * H), ("b", H)]
+        streams = {tenant: out_of_order for tenant in TENANTS}
+        service, to_flush, flushed = self.churn(
+            chain_build, system, run, round_robin(streams), lateness
+        )
+        # Every session still buffers events: the resident one is
+        # flushed first, in place, then the two spilled ones are
+        # rehydrated (each evicting one already flushed).
+        assert to_flush == [("t2", "k"), ("t0", "k"), ("t1", "k")]
+        assert flushed == 2
+        for tenant, stream in streams.items():
+            got = [
+                sd.detection for sd in service.detections
+                if sd.tenant == tenant
+            ]
+            want = self.direct(chain_build, stream, lateness)
+            assert want
+            assert as_json(got) == as_json(want)
